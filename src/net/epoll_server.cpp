@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <chrono>
 #include <queue>
 #include <system_error>
 #include <unordered_map>
@@ -17,7 +18,9 @@
 #include "net/shaper.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
+#include "util/mutex.hpp"
 #include "util/strings.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace abr::net {
 
@@ -46,67 +49,6 @@ std::string_view first_line_of(std::string_view block) {
 }
 
 }  // namespace
-
-// --- ShaperGate ------------------------------------------------------------
-
-ShaperGate::ShaperGate(const trace::ThroughputTrace& trace, double speedup)
-    : trace_(&trace), speedup_(speedup), epoch_(Clock::now()) {
-  assert(speedup > 0.0);
-}
-
-void ShaperGate::reset_epoch() {
-  const util::MutexLock lock(mutex_);
-  epoch_ = Clock::now();
-  sent_kilobits_ = 0.0;
-}
-
-bool ShaperGate::acquire(std::uint64_t ticket) {
-  const util::MutexLock lock(mutex_);
-  if (holder_ == 0 || holder_ == ticket) {
-    holder_ = ticket;
-    return true;
-  }
-  waiters_.push_back(ticket);
-  return false;
-}
-
-std::uint64_t ShaperGate::release() {
-  const util::MutexLock lock(mutex_);
-  holder_ = 0;
-  if (waiters_.empty()) return 0;
-  holder_ = waiters_.front();
-  waiters_.pop_front();
-  return holder_;
-}
-
-std::uint64_t ShaperGate::cancel(std::uint64_t ticket) {
-  const util::MutexLock lock(mutex_);
-  if (holder_ == ticket) {
-    holder_ = 0;
-    if (waiters_.empty()) return 0;
-    holder_ = waiters_.front();
-    waiters_.pop_front();
-    return holder_;
-  }
-  const auto it = std::find(waiters_.begin(), waiters_.end(), ticket);
-  if (it != waiters_.end()) waiters_.erase(it);
-  return 0;
-}
-
-Clock::time_point ShaperGate::quantum_release(std::size_t bytes) {
-  const util::MutexLock lock(mutex_);
-  const double quantum_kilobits = static_cast<double>(bytes) * 8.0 / 1000.0;
-  const double release_session_s =
-      trace_->transfer_end_time(sent_kilobits_ + quantum_kilobits, 0.0);
-  return epoch_ + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(release_session_s /
-                                                    speedup_));
-}
-
-void ShaperGate::note_sent(std::size_t bytes) {
-  const util::MutexLock lock(mutex_);
-  sent_kilobits_ += static_cast<double>(bytes) * 8.0 / 1000.0;
-}
 
 // --- Shard -----------------------------------------------------------------
 
@@ -220,6 +162,7 @@ class EpollServer::Shard {
       kStallSleep,    ///< mid-body fault stall (link released)
       kWriteHead,     ///< flushing the pre-serialized head
       kWriteBody,     ///< flushing body bytes (shaped: current quantum)
+      kClosed,        ///< out of the table, awaiting destruction
     } state = State::kReadHeaders;
 
     std::string in;          ///< unparsed input
@@ -282,6 +225,7 @@ class EpollServer::Shard {
       }
       if (stopping_) break;
       process_timers();
+      closed_.clear();  // no handler frame refers to them any more
     }
     close_all();
   }
@@ -354,8 +298,13 @@ class EpollServer::Shard {
   }
 
   /// Removes the connection: releases any link claim, unregisters the fd,
-  /// shuts the stream down so the peer sees EOF promptly.
+  /// shuts the stream down so the peer sees EOF promptly. The object lives
+  /// on in closed_ until the current event is handled, because the frames
+  /// that called this (a read loop that parsed a request and answered it
+  /// with a closing response, say) still refer to it; kClosed ends their
+  /// loops and makes a second close a no-op.
   void close_connection(Connection& connection) {
+    if (connection.state == Connection::State::kClosed) return;
     if (server_->gate_ != nullptr &&
         (connection.holds_link ||
          connection.state == Connection::State::kAwaitLink)) {
@@ -365,7 +314,10 @@ class EpollServer::Shard {
     (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, connection.stream.fd(),
                       nullptr);
     connection.stream.shutdown_both();
-    table_.erase(connection.id);
+    connection.state = Connection::State::kClosed;
+    const auto entry = table_.find(connection.id);
+    closed_.push_back(std::move(entry->second));
+    table_.erase(entry);
     table_size_.store(table_.size());
     gauge_->set(static_cast<double>(table_.size()));
     server_->live_.fetch_sub(1);
@@ -378,6 +330,7 @@ class EpollServer::Shard {
       server_->live_.fetch_sub(1);
     }
     table_.clear();
+    closed_.clear();
     table_size_.store(0);
     gauge_->set(0.0);
   }
@@ -433,8 +386,9 @@ class EpollServer::Shard {
       case Connection::State::kReadHeaders:
       case Connection::State::kReadBody:
         if (connection.rejected) {
-          // The threaded engine sheds even a peer that stalls mid-request:
-          // the deadline just ends the wait and the terse 503 goes out.
+          // A shed peer that stalls mid-request still gets its 503: the
+          // deadline only ends the wait for the request it owed us, and the
+          // answer tells a retrying client to back off.
           respond_reject(connection);
           return;
         }
@@ -464,8 +418,8 @@ class EpollServer::Shard {
         pump_shaped(connection);
         return;
       case Connection::State::kStallSleep:
-        // Re-acquire the link; the stall released it (like the threaded
-        // engine dropping the shaper mutex while it sleeps).
+        // Re-acquire the link; the stall released it so other bodies could
+        // use the link while this one was stalled.
         if (server_->gate_ == nullptr ||
             server_->gate_->acquire(connection.id)) {
           connection.holds_link = true;
@@ -497,9 +451,9 @@ class EpollServer::Shard {
           connection->state == Connection::State::kReadBody) {
         handle_readable(*connection);
       } else {
-        // Mid-response: note it and keep not reading — the kernel buffer
-        // backpressures a pipelining flood exactly like the threaded
-        // engine, which only reads between responses.
+        // Mid-response: note it and keep not reading — requests are read
+        // only between responses, so the kernel buffer backpressures a
+        // pipelining flood instead of this process buffering it.
         connection->read_ready = true;
         if ((events & EPOLLRDHUP) != 0) connection->peer_eof = true;
       }
@@ -551,8 +505,9 @@ class EpollServer::Shard {
   void on_read_eof(Connection& connection) {
     connection.peer_eof = true;
     if (connection.rejected) {
-      // The threaded reject path consumes the request best-effort and
-      // answers 503 whatever happened, EOF included.
+      // A shed connection is answered 503 whatever happened to its
+      // request, EOF included: the request is consumed only so closing
+      // after the 503 cannot reset it away before the client reads it.
       respond_reject(connection);
       return;
     }
@@ -811,9 +766,9 @@ class EpollServer::Shard {
     }
   }
 
-  /// Paced body writes while holding the link: each TraceShaper-sized
-  /// quantum is released by the gate's trace allowance; release instants in
-  /// the future become resume timers instead of sleeps.
+  /// Paced body writes while holding the link: each quantum is released by
+  /// the gate's trace allowance; release instants in the future become
+  /// resume timers instead of sleeps.
   void pump_shaped(Connection& connection) {
     ShaperGate* gate = server_->gate_;
     while (true) {
@@ -823,8 +778,8 @@ class EpollServer::Shard {
       }
       if (connection.stall_at != std::string_view::npos &&
           connection.body_sent >= connection.stall_at && !connection.stalled) {
-        // Mid-body stall: hand the link back for the duration (the
-        // threaded engine drops the shaper mutex while it sleeps).
+        // Mid-body stall: hand the link back for the duration, so a
+        // stalled origin response does not also stall every other body.
         connection.stalled = true;
         connection.holds_link = false;
         connection.quantum_left = 0;
@@ -838,14 +793,14 @@ class EpollServer::Shard {
         return;
       }
       if (connection.quantum_left == 0) {
-        // The stall point is a quantum boundary, like the threaded split
-        // into two separate shaper sends.
+        // The stall point is a quantum boundary: the body is paced as two
+        // separate sends, before and after the stall.
         std::size_t limit = connection.body.size();
         if (!connection.stalled &&
             connection.stall_at != std::string_view::npos) {
           limit = std::min(limit, connection.stall_at);
         }
-        const std::size_t quantum = std::min(TraceShaper::kQuantumBytes,
+        const std::size_t quantum = std::min(ShaperGate::kQuantumBytes,
                                              limit - connection.body_sent);
         const Clock::time_point release = gate->quantum_release(quantum);
         if (release > Clock::now()) {
@@ -949,6 +904,9 @@ class EpollServer::Shard {
   util::Mutex queue_mutex_;
   std::vector<Message> queue_ ABR_GUARDED_BY(queue_mutex_);
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> table_;
+  /// Closed connections kept alive until the event that closed them is
+  /// handled (see close_connection).
+  std::vector<std::unique_ptr<Connection>> closed_;
   std::priority_queue<TimerEntry, std::vector<TimerEntry>,
                       std::greater<TimerEntry>>
       timers_;

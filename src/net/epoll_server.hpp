@@ -1,11 +1,8 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -13,62 +10,11 @@
 #include <vector>
 
 #include "net/http.hpp"
-#include "net/server_transport.hpp"
 #include "net/socket.hpp"
-#include "trace/throughput_trace.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace abr::net {
 
-/// Cross-shard pacing gate for shaped response bodies.
-///
-/// The threaded engine serializes every shaped body send under one shaper
-/// mutex, so bodies go out one at a time, each paced against the trace's
-/// cumulative byte allowance (TraceShaper::send). This class reproduces
-/// that discipline for the reactor shards without ever blocking a reactor
-/// thread: a connection acquires the link (FIFO — queued tickets are served
-/// in order), asks when its next quantum may be written, and the shard
-/// schedules a timer instead of sleeping. The quantum size and the
-/// allowance arithmetic are TraceShaper's, byte for byte.
-class ShaperGate {
- public:
-  /// The trace must outlive the gate. The epoch (session time 0) is the
-  /// moment of construction; reset_epoch() restarts it.
-  ShaperGate(const trace::ThroughputTrace& trace, double speedup);
-
-  void reset_epoch() ABR_EXCLUDES(mutex_);
-
-  /// Claims the link for `ticket` (an opaque nonzero connection id).
-  /// Returns true when the link was free; otherwise the ticket is queued
-  /// and a later release() will hand the link over.
-  bool acquire(std::uint64_t ticket) ABR_EXCLUDES(mutex_);
-
-  /// Removes a queued (or holding) ticket whose connection died. Returns
-  /// the next ticket to grant when the holder vanished, 0 otherwise.
-  std::uint64_t cancel(std::uint64_t ticket) ABR_EXCLUDES(mutex_);
-
-  /// Releases the link and pops the next queued ticket (0 when none). The
-  /// caller must forward the grant to the ticket's shard.
-  std::uint64_t release() ABR_EXCLUDES(mutex_);
-
-  /// Wall-clock instant at which the current holder may write its next
-  /// `bytes`-sized quantum, per the trace's cumulative allowance.
-  std::chrono::steady_clock::time_point quantum_release(std::size_t bytes)
-      ABR_EXCLUDES(mutex_);
-
-  /// Charges `bytes` against the allowance (call once per written quantum).
-  void note_sent(std::size_t bytes) ABR_EXCLUDES(mutex_);
-
- private:
-  const trace::ThroughputTrace* trace_;
-  double speedup_;
-  mutable util::Mutex mutex_;
-  std::chrono::steady_clock::time_point epoch_ ABR_GUARDED_BY(mutex_);
-  double sent_kilobits_ ABR_GUARDED_BY(mutex_) = 0.0;
-  std::uint64_t holder_ ABR_GUARDED_BY(mutex_) = 0;
-  std::deque<std::uint64_t> waiters_ ABR_GUARDED_BY(mutex_);
-};
+class ShaperGate;
 
 /// Sharded epoll server: one accept thread pins connections to N reactor
 /// shards round-robin; each shard owns one epoll instance, one timer heap,
@@ -81,9 +27,10 @@ class ShaperGate {
 ///
 /// The server is protocol-agnostic above the request boundary: a Handler
 /// turns each parsed request into a fully planned Response (pre-serialized
-/// head, body slice, pacing/fault directives), so the DASH routing logic
-/// lives in ChunkServer and is engine-independent.
-class EpollServer final : public ServerTransport {
+/// head, body slice, pacing/fault directives). Routing lives in the
+/// handlers: ChunkServer (the DASH origin) and TelemetryServer (the
+/// standalone scrape endpoint).
+class EpollServer final {
  public:
   /// A fully planned response. The head is pre-serialized (status line,
   /// headers, Content-Length, blank line); the body is either an owned
@@ -105,8 +52,9 @@ class EpollServer final : public ServerTransport {
     /// Telemetry-plane response: written under write_deadline_ms, and a
     /// deadline trip is reported via Handler::on_response_done.
     bool telemetry = false;
-    /// Close the connection after the response is written (drain, 503,
-    /// 400); the write side is shut down first so the peer sees EOF.
+    /// Close the connection after the response is written (drain, the
+    /// client's Connection: close, 503, 400); the write side is shut down
+    /// first so the peer sees EOF.
     bool close_after = false;
     /// Drop the connection without writing anything (fault kReset).
     bool reset = false;
@@ -171,24 +119,43 @@ class EpollServer final : public ServerTransport {
 
   /// The handler and gate (optional) must outlive the server.
   EpollServer(Handler* handler, EpollServerOptions options);
-  ~EpollServer() override;
+  ~EpollServer();
+
+  EpollServer(const EpollServer&) = delete;
+  EpollServer& operator=(const EpollServer&) = delete;
 
   /// Attaches the pacing gate for shaped bodies. Must be set before
   /// start() when any Response uses shaped=true.
   void set_shaper_gate(ShaperGate* gate) { gate_ = gate; }
 
-  void start(std::uint16_t port = 0) override;
-  void stop() override;
-  std::size_t drain(double deadline_s) override;
-  bool draining() const override { return draining_.load(); }
+  /// Binds 127.0.0.1 and starts accepting; port 0 picks an ephemeral port.
+  /// A stopped (or drained) server may be started again — passing the old
+  /// port() restarts the origin on the same address, which is how the
+  /// chaos harness brings a killed origin back.
+  void start(std::uint16_t port = 0);
 
-  std::uint16_t port() const override { return port_; }
-  std::size_t active_connections() const override { return live_.load(); }
-  std::size_t peak_connections() const override { return peak_.load(); }
-  std::size_t rejected_connections() const override {
-    return rejected_.load();
-  }
-  std::size_t tracked_connections() const override;
+  /// Hard stop: closes every live connection and joins every thread.
+  void stop();
+
+  /// Graceful shutdown: stops accepting, waits up to `deadline_s` for
+  /// in-flight connections to finish on their own, then force-closes the
+  /// stragglers. Returns the number of forced closes. Idempotent with
+  /// stop() in either order.
+  std::size_t drain(double deadline_s);
+
+  /// True from the moment drain() begins until the next start().
+  bool draining() const { return draining_.load(); }
+
+  std::uint16_t port() const { return port_; }
+
+  /// Connections currently live (admitted and rejected alike).
+  std::size_t active_connections() const { return live_.load(); }
+  std::size_t peak_connections() const { return peak_.load(); }
+  /// Connections refused by the admission cap.
+  std::size_t rejected_connections() const { return rejected_.load(); }
+  /// Connection-table entries across shards (tests use this to show closed
+  /// connections are reclaimed, keeping the tables bounded).
+  std::size_t tracked_connections() const;
 
   std::size_t shard_count() const { return shards_.size(); }
 

@@ -228,6 +228,18 @@ void HttpConnection::write_response(const HttpResponse& response) {
   stream().write_all(response.body);
 }
 
+std::string response_head(int status, std::string_view reason,
+                          const HttpHeaders& headers, std::size_t body_size) {
+  std::string head = "HTTP/1.1 " + std::to_string(status) + " ";
+  head += reason;
+  head += "\r\n";
+  for (const auto& [key, value] : headers.entries) {
+    head += key + ": " + value + "\r\n";
+  }
+  head += "Content-Length: " + std::to_string(body_size) + "\r\n\r\n";
+  return head;
+}
+
 void HttpConnection::write_request(const HttpRequest& request,
                                    const std::string& host) {
   std::string out = request.method + " " + request.target + " HTTP/1.1\r\n";

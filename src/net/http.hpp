@@ -75,9 +75,9 @@ class HttpConnection {
  public:
   /// Owns the stream.
   explicit HttpConnection(TcpStream stream);
-  /// Borrows a stream owned elsewhere (e.g., by TcpServer, which needs to
-  /// retain it so stop() can interrupt a blocked handler). `borrowed` must
-  /// outlive this object.
+  /// Borrows a stream owned elsewhere, so its owner can shut it down from
+  /// another thread to interrupt a blocked read. `borrowed` must outlive
+  /// this object.
   explicit HttpConnection(TcpStream* borrowed);
 
   /// Server side: reads the next request. Returns nullopt on clean EOF
@@ -166,6 +166,12 @@ class HttpClient {
   util::Mutex mutex_;  ///< guards connection_ creation/teardown (not I/O)
   std::optional<HttpConnection> connection_ ABR_GUARDED_BY(mutex_);
 };
+
+/// Serializes a response head: status line, `headers` in order,
+/// Content-Length of `body_size`, blank line. The reactor servers send it
+/// ahead of a body they write separately.
+std::string response_head(int status, std::string_view reason,
+                          const HttpHeaders& headers, std::size_t body_size);
 
 /// Parses "GET /path HTTP/1.1" style request lines and status lines;
 /// exposed for tests.

@@ -2,50 +2,71 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
 
 namespace abr::net {
 
-TraceShaper::TraceShaper(const trace::ThroughputTrace& trace, double speedup)
-    : trace_(&trace),
-      speedup_(speedup),
-      epoch_(std::chrono::steady_clock::now()) {
+namespace {
+using Clock = std::chrono::steady_clock;
+}  // namespace
+
+ShaperGate::ShaperGate(const trace::ThroughputTrace& trace, double speedup)
+    : trace_(&trace), speedup_(speedup), epoch_(Clock::now()) {
   assert(speedup > 0.0);
 }
 
-double TraceShaper::session_now() const {
-  const auto elapsed = std::chrono::steady_clock::now() - epoch_;
-  return std::chrono::duration<double>(elapsed).count() * speedup_;
-}
-
-void TraceShaper::reset_epoch() {
-  epoch_ = std::chrono::steady_clock::now();
+void ShaperGate::reset_epoch() {
+  const util::MutexLock lock(mutex_);
+  epoch_ = Clock::now();
   sent_kilobits_ = 0.0;
 }
 
-void TraceShaper::send(TcpStream& stream, std::string_view data) {
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const std::size_t quantum = std::min(kQuantumBytes, data.size() - offset);
-    const double quantum_kilobits =
-        static_cast<double>(quantum) * 8.0 / 1000.0;
-
-    // The trace allows this quantum once its cumulative capacity since the
-    // epoch reaches sent + quantum; compute that instant exactly via the
-    // trace's inverse integral and sleep the (scaled) difference.
-    const double release_session_s =
-        trace_->transfer_end_time(sent_kilobits_ + quantum_kilobits, 0.0);
-    const double now_session_s = session_now();
-    if (release_session_s > now_session_s) {
-      const double wall_sleep_s =
-          (release_session_s - now_session_s) / speedup_;
-      std::this_thread::sleep_for(std::chrono::duration<double>(wall_sleep_s));
-    }
-
-    stream.write_all(data.data() + offset, quantum);
-    offset += quantum;
-    sent_kilobits_ += quantum_kilobits;
+bool ShaperGate::acquire(std::uint64_t ticket) {
+  const util::MutexLock lock(mutex_);
+  if (holder_ == 0 || holder_ == ticket) {
+    holder_ = ticket;
+    return true;
   }
+  waiters_.push_back(ticket);
+  return false;
+}
+
+std::uint64_t ShaperGate::grant_next_locked() {
+  holder_ = 0;
+  if (waiters_.empty()) return 0;
+  holder_ = waiters_.front();
+  waiters_.pop_front();
+  return holder_;
+}
+
+std::uint64_t ShaperGate::release() {
+  const util::MutexLock lock(mutex_);
+  return grant_next_locked();
+}
+
+std::uint64_t ShaperGate::cancel(std::uint64_t ticket) {
+  const util::MutexLock lock(mutex_);
+  if (holder_ == ticket) return grant_next_locked();
+  const auto it = std::find(waiters_.begin(), waiters_.end(), ticket);
+  if (it != waiters_.end()) waiters_.erase(it);
+  return 0;
+}
+
+Clock::time_point ShaperGate::quantum_release(std::size_t bytes) {
+  const util::MutexLock lock(mutex_);
+  // The trace allows this quantum once its cumulative capacity since the
+  // epoch reaches sent + quantum; the trace's inverse integral gives that
+  // session instant exactly, and the speedup maps it onto wall time.
+  const double quantum_kilobits = static_cast<double>(bytes) * 8.0 / 1000.0;
+  const double release_session_s =
+      trace_->transfer_end_time(sent_kilobits_ + quantum_kilobits, 0.0);
+  return epoch_ + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double>(release_session_s /
+                                                    speedup_));
+}
+
+void ShaperGate::note_sent(std::size_t bytes) {
+  const util::MutexLock lock(mutex_);
+  sent_kilobits_ += static_cast<double>(bytes) * 8.0 / 1000.0;
 }
 
 }  // namespace abr::net

@@ -1,47 +1,77 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
 
-#include "net/socket.hpp"
 #include "trace/throughput_trace.hpp"
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace abr::net {
 
-/// Trace-driven link shaper: paces bytes written to a TcpStream so that the
-/// cumulative bytes sent track the integral of a throughput trace.
+/// Trace-driven link shaper: paces response bodies so that the cumulative
+/// bytes sent track the integral of a throughput trace.
 ///
 /// This replaces the `tc` token-bucket shaping of the paper's testbed
-/// (Section 7.2) with an application-level equivalent: before each quantum
-/// the shaper compares bytes-sent against the trace's allowance at the
-/// current (scaled) session time and sleeps until the allowance catches up.
+/// (Section 7.2) with an application-level equivalent. The emulated access
+/// link is one FIFO link: a connection acquires it (queued tickets are
+/// served in order), sends its body one quantum at a time, and releases it.
+/// Before each quantum the holder asks quantum_release() for the instant
+/// the trace's cumulative allowance covers it; the reactor schedules a
+/// timer for that instant instead of sleeping, so no thread ever blocks on
+/// the link.
 ///
 /// `speedup` compresses session time: at speedup 20 a 260 s video session
 /// runs in 13 s of wall time, with trace rates scaled up correspondingly.
 /// On loopback (>10 Gbps raw) the shaped rate remains the bottleneck for
 /// any realistic trace, so the measured throughput at the client follows
 /// the trace as it would behind tc.
-class TraceShaper {
+class ShaperGate {
  public:
-  /// The trace must outlive the shaper. The epoch (session time 0) is the
+  /// The trace must outlive the gate. The epoch (session time 0) is the
   /// moment of construction; reset_epoch() restarts it.
-  TraceShaper(const trace::ThroughputTrace& trace, double speedup = 1.0);
+  ShaperGate(const trace::ThroughputTrace& trace, double speedup);
 
-  /// Writes the buffer to the stream, pacing per the trace.
-  void send(TcpStream& stream, std::string_view data);
+  /// Restarts session time at "now" and zeroes the bytes already charged.
+  void reset_epoch() ABR_EXCLUDES(mutex_);
 
-  /// Session time now, seconds (trace timebase, i.e. wall time * speedup).
-  double session_now() const;
+  /// Claims the link for `ticket` (an opaque nonzero connection id).
+  /// Returns true when the link was free; otherwise the ticket is queued
+  /// and a later release() will hand the link over.
+  bool acquire(std::uint64_t ticket) ABR_EXCLUDES(mutex_);
 
-  void reset_epoch();
+  /// Removes a queued (or holding) ticket whose connection died. Returns
+  /// the next ticket to grant when the holder vanished, 0 otherwise.
+  std::uint64_t cancel(std::uint64_t ticket) ABR_EXCLUDES(mutex_);
+
+  /// Releases the link and pops the next queued ticket (0 when none). The
+  /// caller must forward the grant to the ticket's owner.
+  std::uint64_t release() ABR_EXCLUDES(mutex_);
+
+  /// Wall-clock instant at which the current holder may write its next
+  /// `bytes`-sized quantum, per the trace's cumulative allowance.
+  std::chrono::steady_clock::time_point quantum_release(std::size_t bytes)
+      ABR_EXCLUDES(mutex_);
+
+  /// Charges `bytes` against the allowance (call once per written quantum).
+  void note_sent(std::size_t bytes) ABR_EXCLUDES(mutex_);
 
   /// Pacing quantum, bytes. Smaller = smoother shaping, more syscalls.
   static constexpr std::size_t kQuantumBytes = 16 * 1024;
 
  private:
+  /// Pops the next waiter into holder_ (0 when none) and returns it.
+  std::uint64_t grant_next_locked() ABR_REQUIRES(mutex_);
+
   const trace::ThroughputTrace* trace_;
   double speedup_;
-  std::chrono::steady_clock::time_point epoch_;
-  double sent_kilobits_ = 0.0;  ///< cumulative shaped payload
+  mutable util::Mutex mutex_;
+  std::chrono::steady_clock::time_point epoch_ ABR_GUARDED_BY(mutex_);
+  double sent_kilobits_ ABR_GUARDED_BY(mutex_) = 0.0;
+  std::uint64_t holder_ ABR_GUARDED_BY(mutex_) = 0;
+  std::deque<std::uint64_t> waiters_ ABR_GUARDED_BY(mutex_);
 };
 
 }  // namespace abr::net

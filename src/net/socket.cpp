@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -148,7 +149,21 @@ TcpListener TcpListener::bind_loopback(std::uint16_t port) {
 
 TcpStream TcpListener::accept() {
   while (true) {
-    const int client = ::accept(fd_.get(), nullptr, nullptr);
+    // Wait for a pending connection before calling accept(): a thread
+    // blocked inside accept() holds a descriptor slot, and under descriptor
+    // exhaustion it would take the last free one from whichever thread
+    // closes a descriptor to open a socket. The bounded wait re-reads the
+    // slot, so a listener closed meanwhile is noticed.
+    const int fd = fd_.get();
+    if (fd < 0) {
+      errno = EBADF;
+      throw_errno("accept");
+    }
+    pollfd pending{fd, POLLIN, 0};
+    const int ready = ::poll(&pending, 1, 100);
+    if (ready == 0 || (ready < 0 && errno == EINTR)) continue;
+    if (ready < 0) throw_errno("poll");
+    const int client = ::accept(fd, nullptr, nullptr);
     if (client >= 0) return TcpStream(FileDescriptor(client));
     if (errno == EINTR) continue;
     throw_errno("accept");

@@ -1,10 +1,10 @@
 #include "net/telemetry.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "obs/journal.hpp"
 #include "obs/names.hpp"
-#include "obs/span.hpp"
 
 namespace abr::net {
 
@@ -18,10 +18,6 @@ std::string statusz_json(const TelemetryStatus& status) {
   out += ",\"peak_connections\":" + std::to_string(status.peak_connections);
   out += ",\"shed_connections\":" + std::to_string(status.shed_connections);
   out += ",\"requests_served\":" + std::to_string(status.requests_served);
-  for (const std::string& fragment : status.extra) {
-    out += ',';
-    out += fragment;
-  }
   out += "}";
   return out;
 }
@@ -46,12 +42,36 @@ HttpResponse telemetry_response(obs::MetricsRegistry& registry,
   return response;
 }
 
-TelemetryServer::TelemetryServer(obs::MetricsRegistry& registry,
-                                 StatusSource status,
-                                 TelemetryServerOptions options)
+namespace {
+
+/// Reactor settings: one shard is plenty for a handful of scrapers, and the
+/// one deadline bounds reading the request, writing the response, and how
+/// long a shed connection may take to send the request it owes.
+EpollServer::EpollServerOptions reactor_options() {
+  EpollServer::EpollServerOptions options;
+  options.shards = 1;
+  options.max_connections = TelemetryServer::kMaxConnections;
+  options.idle_timeout_ms = TelemetryServer::kDeadlineMs;
+  options.reject_timeout_ms = TelemetryServer::kDeadlineMs;
+  return options;
+}
+
+/// The one-request-per-connection reply: Connection: close, then EOF.
+EpollServer::Response closing(HttpResponse response) {
+  response.headers.set("Connection", "close");
+  EpollServer::Response out;
+  out.head = response_head(response.status, response.reason,
+                           response.headers, response.body.size());
+  out.body_inline = std::move(response.body);
+  out.telemetry = true;
+  out.close_after = true;
+  return out;
+}
+
+}  // namespace
+
+TelemetryServer::TelemetryServer(obs::MetricsRegistry& registry)
     : registry_(&registry),
-      status_source_(std::move(status)),
-      options_(options),
       metrics_requests_(&obs::MetricsRegistry::global().counter(
           obs::kTelemetryRequestsTotal,
           obs::telemetry_endpoint_label("/metrics"))),
@@ -63,10 +83,10 @@ TelemetryServer::TelemetryServer(obs::MetricsRegistry& registry,
           obs::exponential_buckets(10.0, 2.0, 16))),
       deadline_exceeded_(&obs::MetricsRegistry::global().counter(
           obs::kTelemetryDeadlineExceededTotal)),
-      server_([this](TcpStream& stream) { handle(stream); }) {
-  server_.set_max_connections(options_.max_connections);
-  server_.set_reject_handler([this](TcpStream& stream) { reject(stream); });
-}
+      // The cast happens here because the Handler base is private.
+      server_(static_cast<EpollServer::Handler*>(this), reactor_options()) {}
+
+TelemetryServer::~TelemetryServer() { stop(); }
 
 void TelemetryServer::start(std::uint16_t port) {
   started_ = std::chrono::steady_clock::now();
@@ -75,8 +95,7 @@ void TelemetryServer::start(std::uint16_t port) {
 
 void TelemetryServer::stop() { server_.stop(); }
 
-TelemetryStatus TelemetryServer::status() {
-  if (status_source_) return status_source_();
+TelemetryStatus TelemetryServer::status() const {
   TelemetryStatus status;
   status.uptime_s = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - started_)
@@ -89,73 +108,53 @@ TelemetryStatus TelemetryServer::status() {
   return status;
 }
 
-void TelemetryServer::handle(TcpStream& stream) {
-  // One request per connection, the whole exchange bounded by the deadline:
-  // a scraper that dribbles its request or refuses to read the response is
-  // disconnected, not waited on.
-  try {
-    stream.set_no_delay(true);
-    stream.set_timeout_ms(options_.deadline_ms);
-    HttpConnection connection(&stream);
-    const obs::LatencyTimer timer(scrape_latency_);
-    std::optional<HttpRequest> request;
-    try {
-      request = connection.read_request();
-    } catch (const std::invalid_argument&) {
-      HttpResponse bad;
-      bad.status = 400;
-      bad.reason = "Bad Request";
-      bad.headers.set("Connection", "close");
-      connection.write_response(bad);
-      return;
-    }
-    if (!request.has_value()) return;
-    ++requests_served_;
-
-    HttpResponse response;
-    if (request->method != "GET") {
-      response.status = 405;
-      response.reason = "Method Not Allowed";
-      response.headers.set("Allow", "GET");
-    } else if (is_telemetry_target(request->target)) {
-      (request->target == "/metrics" ? metrics_requests_ : statusz_requests_)
-          ->increment();
-      response = telemetry_response(*registry_, request->target, status());
-    } else if (request->target == "/healthz") {
-      response.headers.set("Content-Type", "text/plain");
-      response.body = "ok\n";
-    } else {
-      response.status = 404;
-      response.reason = "Not Found";
-    }
-    response.headers.set("Connection", "close");
-    connection.write_response(response);
-    stream.shutdown_write();
-  } catch (const std::exception&) {
-    // Deadline hit (or peer gone): shed the scrape rather than queue it.
-    deadline_exceeded_->increment();
+EpollServer::Response TelemetryServer::on_request(const HttpRequest& request) {
+  ++requests_served_;
+  HttpResponse response;
+  if (request.method != "GET") {
+    response.status = 405;
+    response.reason = "Method Not Allowed";
+    response.headers.set("Allow", "GET");
+  } else if (is_telemetry_target(request.target)) {
+    (request.target == "/metrics" ? metrics_requests_ : statusz_requests_)
+        ->increment();
+    response = telemetry_response(*registry_, request.target, status());
+  } else if (request.target == "/healthz") {
+    response.headers.set("Content-Type", "text/plain");
+    response.body = "ok\n";
+  } else {
+    response.status = 404;
+    response.reason = "Not Found";
   }
+  return closing(std::move(response));
 }
 
-void TelemetryServer::reject(TcpStream& stream) {
-  try {
-    stream.set_no_delay(true);
-    stream.set_timeout_ms(options_.deadline_ms);
-    HttpConnection connection(&stream);
-    try {
-      (void)connection.read_request();
-    } catch (const std::exception&) {
-    }
-    HttpResponse response;
-    response.status = 503;
-    response.reason = "Service Unavailable";
-    response.headers.set("Retry-After", "1");
-    response.headers.set("Connection", "close");
-    response.body = "overloaded\n";
-    connection.write_response(response);
-    stream.shutdown_write();
-  } catch (const std::exception&) {
-    // Peer gone mid-shed: nothing to tell it.
+EpollServer::Response TelemetryServer::on_bad_request() {
+  HttpResponse bad;
+  bad.status = 400;
+  bad.reason = "Bad Request";
+  return closing(std::move(bad));
+}
+
+EpollServer::Response TelemetryServer::on_reject() {
+  HttpResponse response;
+  response.status = 503;
+  response.reason = "Service Unavailable";
+  response.headers.set("Retry-After", "1");
+  response.body = "overloaded\n";
+  return closing(std::move(response));
+}
+
+void TelemetryServer::on_response_done(
+    const EpollServer::Response& /*response*/,
+    EpollServer::Response::Kind kind, double wall_us,
+    EpollServer::Outcome outcome) {
+  if (kind != EpollServer::Response::Kind::kRequest) return;
+  scrape_latency_->observe(wall_us);
+  // Write-deadline trips and peers gone mid-response: the scrape was shed
+  // rather than queued.
+  if (outcome != EpollServer::Outcome::kComplete) {
+    deadline_exceeded_->increment();
   }
 }
 

@@ -2,13 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "net/chunk_server.hpp"
+#include "net/epoll_server.hpp"
 #include "net/http.hpp"
 #include "obs/metrics.hpp"
 
@@ -26,10 +25,6 @@ struct TelemetryStatus {
   std::size_t peak_connections = 0;
   std::size_t shed_connections = 0;
   std::size_t requests_served = 0;
-  /// Extra preformatted JSON members (e.g. "\"sessions\":4"), appended
-  /// verbatim after the standard fields. Each entry must be a complete
-  /// `"key":value` fragment.
-  std::vector<std::string> extra;
 };
 
 /// Compact single-line JSON for /statusz.
@@ -46,30 +41,23 @@ HttpResponse telemetry_response(obs::MetricsRegistry& registry,
                                 std::string_view target,
                                 const TelemetryStatus& status);
 
-struct TelemetryServerOptions {
-  /// Admission cap on concurrent scrapes. Overloaded scrapers are shed with
-  /// a terse 503 on their own short-lived thread — never queued.
-  std::size_t max_connections = 4;
-
-  /// Hard per-request deadline: socket reads and writes past this are
-  /// abandoned (and counted in abr_telemetry_deadline_exceeded_total).
-  int deadline_ms = 250;
-};
-
 /// Standalone scrape endpoint for client-side processes (`abrsim
 /// --telemetry-port`): serves GET /metrics, /statusz, and /healthz from a
-/// registry, one request per connection, bounded by
-/// TelemetryServerOptions::deadline_ms. The registry must outlive the
-/// server.
-class TelemetryServer {
+/// registry on a one-shard EpollServer. Each connection carries one request,
+/// answered with Connection: close. A scraper that stalls sending its
+/// request or reading the response for kDeadlineMs is disconnected, and
+/// connections past kMaxConnections are shed with a terse 503 — never
+/// queued. The registry must outlive the server.
+class TelemetryServer : private EpollServer::Handler {
  public:
-  /// Optional callback supplying the /statusz payload; when absent the
-  /// server reports its own uptime and transport counters.
-  using StatusSource = std::function<TelemetryStatus()>;
+  /// Admission cap on concurrent scrape connections.
+  static constexpr std::size_t kMaxConnections = 4;
+  /// Idle and write deadline per connection, milliseconds. A write-deadline
+  /// trip counts in abr_telemetry_deadline_exceeded_total.
+  static constexpr int kDeadlineMs = 250;
 
-  explicit TelemetryServer(obs::MetricsRegistry& registry,
-                           StatusSource status = nullptr,
-                           TelemetryServerOptions options = {});
+  explicit TelemetryServer(obs::MetricsRegistry& registry);
+  ~TelemetryServer() override;
 
   /// Port 0 picks an ephemeral port.
   void start(std::uint16_t port = 0);
@@ -80,16 +68,19 @@ class TelemetryServer {
   std::size_t shed_connections() const {
     return server_.rejected_connections();
   }
-  const TcpServer& transport() const { return server_; }
 
  private:
-  void handle(TcpStream& stream);
-  void reject(TcpStream& stream);
-  TelemetryStatus status();
+  // EpollServer::Handler (reactor thread).
+  EpollServer::Response on_request(const HttpRequest& request) override;
+  EpollServer::Response on_bad_request() override;
+  EpollServer::Response on_reject() override;
+  void on_response_done(const EpollServer::Response& response,
+                        EpollServer::Response::Kind kind, double wall_us,
+                        EpollServer::Outcome outcome) override;
+
+  TelemetryStatus status() const;
 
   obs::MetricsRegistry* registry_;
-  StatusSource status_source_;
-  TelemetryServerOptions options_;
   std::chrono::steady_clock::time_point started_;
   std::atomic<std::size_t> requests_served_{0};
 
@@ -98,7 +89,7 @@ class TelemetryServer {
   obs::Histogram* scrape_latency_;
   obs::Counter* deadline_exceeded_;
 
-  TcpServer server_;
+  EpollServer server_;  ///< last: its threads call back into the members
 };
 
 }  // namespace abr::net

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "media/manifest.hpp"
@@ -8,6 +9,12 @@
 #include "util/stats.hpp"
 
 namespace abr::media {
+
+// Test names of the parameterized suites below carry the printed parameter;
+// print the family name so those names are stable from run to run (the
+// default byte dump includes heap addresses).
+void PrintTo(const QualityFunction& q, std::ostream* os) { *os << q.name(); }
+
 namespace {
 
 TEST(VideoManifest, EnvivioMatchesPaperParameters) {

@@ -215,8 +215,8 @@ TEST_F(HttpConnectionTest, HttpClientGetAndReconnect) {
 }
 
 TEST_F(HttpConnectionTest, BorrowedStreamMode) {
-  // The server-side mode: the connection borrows a stream owned elsewhere
-  // (TcpServer keeps it so stop() can interrupt the handler).
+  // The connection borrows a stream owned elsewhere: the owner keeps it so
+  // it can shut the stream down from another thread to interrupt a read.
   std::thread server([this] {
     TcpStream stream = listener_.accept();
     HttpConnection connection(&stream);

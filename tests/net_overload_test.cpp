@@ -243,9 +243,16 @@ TEST(RouteHardening, NonGetMethodGets405WithAllow) {
   stream.set_timeout_ms(3000);
   stream.write_all(
       "POST /manifest.mpd HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-  const std::string response = read_to_eof(stream);
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = read_to_eof(stream);  // EOF when closed
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   EXPECT_NE(response.find("405 Method Not Allowed"), std::string::npos);
   EXPECT_NE(response.find("Allow: GET"), std::string::npos);
+  // The client asked for Connection: close, so the server closes right after
+  // the response instead of leaving the client to time out.
+  EXPECT_LT(waited, 1.0);
   EXPECT_GE(bad_method.value(), before + 1.0);
   server.stop();
 }

@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "media/manifest.hpp"
 #include "net/chunk_server.hpp"
 #include "net/http.hpp"
+#include "net/socket.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -46,7 +49,6 @@ TEST(TelemetryResponse, TargetsAndContentTypes) {
   TelemetryStatus status;
   status.uptime_s = 12.5;
   status.active_connections = 3;
-  status.extra.push_back("\"sessions\":4");
 
   const HttpResponse metrics = telemetry_response(registry, "/metrics", status);
   EXPECT_EQ(metrics.status, 200);
@@ -62,7 +64,6 @@ TEST(TelemetryResponse, TargetsAndContentTypes) {
   EXPECT_NE(statusz.body.find("\"uptime_s\":12.5"), std::string::npos)
       << statusz.body;
   EXPECT_NE(statusz.body.find("\"active_connections\":3"), std::string::npos);
-  EXPECT_NE(statusz.body.find("\"sessions\":4"), std::string::npos);
 }
 
 TEST(TelemetryServer, ServesMetricsStatuszAndHealthz) {
@@ -124,6 +125,107 @@ TEST(TelemetryServer, ScrapesAreValidUnderConcurrency) {
   for (std::thread& thread : scrapers) thread.join();
   server.stop();
   EXPECT_FALSE(failed.load());
+}
+
+/// Sends `request` raw on a fresh connection and reads until the server
+/// closes it. `waited_s` is the time from send to EOF: a server that never
+/// closes shows up as the 3 s client timeout.
+std::string exchange(std::uint16_t port, std::string_view request,
+                     double& waited_s) {
+  TcpStream stream = TcpStream::connect("127.0.0.1", port);
+  stream.set_timeout_ms(3000);
+  const auto start = std::chrono::steady_clock::now();
+  std::string out;
+  try {
+    stream.write_all(request);
+    char buffer[4096];
+    while (true) {
+      const std::size_t n = stream.read(buffer, sizeof(buffer));
+      if (n == 0) break;
+      out.append(buffer, n);
+    }
+  } catch (const std::system_error&) {
+    // Timeout or reset: return what arrived.
+  }
+  waited_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start)
+                 .count();
+  return out;
+}
+
+TEST(TelemetryServer, ShedsConnectionsPastFourWith503) {
+  obs::MetricsRegistry registry;
+  TelemetryServer server(registry);
+  server.start(0);
+
+  // Four idle connections fill the admission cap; the fifth, opened before
+  // their 250 ms deadline runs out, is shed.
+  std::vector<TcpStream> holds;
+  for (int i = 0; i < 4; ++i) {
+    holds.push_back(TcpStream::connect("127.0.0.1", server.port()));
+  }
+  double waited_s = 0.0;
+  const std::string response = exchange(
+      server.port(), "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", waited_s);
+  EXPECT_NE(response.find("503 Service Unavailable"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("Retry-After: "), std::string::npos);
+  EXPECT_EQ(server.shed_connections(), 1u);
+  server.stop();
+}
+
+TEST(TelemetryServer, HalfRequestLineIsDisconnectedAtDeadline) {
+  obs::MetricsRegistry registry;
+  TelemetryServer server(registry);
+  server.start(0);
+
+  double waited_s = 0.0;
+  const std::string leftovers = exchange(server.port(), "GET /metr", waited_s);
+  EXPECT_TRUE(leftovers.empty()) << leftovers;
+  EXPECT_GE(waited_s, 0.2);
+  EXPECT_LT(waited_s, 1.0);  // the 250 ms deadline plus slack
+  server.stop();
+}
+
+TEST(TelemetryServer, BadMethodGets405AndGarbageGets400) {
+  obs::MetricsRegistry registry;
+  TelemetryServer server(registry);
+  server.start(0);
+
+  double waited_s = 0.0;
+  const std::string not_allowed = exchange(
+      server.port(), "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n", waited_s);
+  EXPECT_NE(not_allowed.find("405 Method Not Allowed"), std::string::npos)
+      << not_allowed;
+  EXPECT_NE(not_allowed.find("Allow: GET"), std::string::npos);
+
+  const std::string bad =
+      exchange(server.port(), "this is not http\r\n\r\n", waited_s);
+  EXPECT_NE(bad.find("400 Bad Request"), std::string::npos) << bad;
+  server.stop();
+}
+
+TEST(TelemetryServer, EveryResponseClosesTheConnection) {
+  obs::MetricsRegistry registry;
+  TelemetryServer server(registry);
+  server.start(0);
+
+  // One request per connection: each answer carries Connection: close and
+  // the server closes right after it, without waiting for the client.
+  for (const char* request :
+       {"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n",
+        "GET /statusz HTTP/1.1\r\nHost: t\r\n\r\n",
+        "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n",
+        "DELETE /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        "garbage\r\n\r\n"}) {
+    double waited_s = 0.0;
+    const std::string response = exchange(server.port(), request, waited_s);
+    EXPECT_NE(response.find("\r\nConnection: close\r\n"), std::string::npos)
+        << request << " -> " << response;
+    EXPECT_LT(waited_s, 1.0) << request;
+  }
+  server.stop();
 }
 
 TEST(ChunkServer, ServesTelemetryWhileSessionsStream) {
