@@ -418,6 +418,7 @@ MultiPlayerResult simulate_shared_link_soa(
       const ChunkRecord& r = player.chunks[k];
       bitrate_sum += r.bitrate_kbps;
       wait_sum += r.wait_s;
+      player.total_attempts += r.attempts;
       if (r.rebuffer_s > 0.0) ++stalled;
       if (k > 0) {
         const double delta =

@@ -394,6 +394,7 @@ MultiPlayerResult simulate_shared_link(
       const ChunkRecord& r = session.chunks[k];
       bitrate_sum += r.bitrate_kbps;
       wait_sum += r.wait_s;
+      session.total_attempts += r.attempts;
       if (r.rebuffer_s > 0.0) ++stalled;
       if (k > 0) {
         const double delta =

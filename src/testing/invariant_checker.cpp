@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstddef>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace abr::testing {
 
@@ -124,7 +126,7 @@ InvariantReport InvariantChecker::check_buffer_dynamics(
     // its completion time.
     if (!playing && !r.skipped) {
       playing = true;
-      startup_s = r.start_s + r.download_s;
+      startup_s = r.start_s + r.download_s - options_.join_time_s;
       started = true;
     }
 
@@ -253,6 +255,140 @@ InvariantReport InvariantChecker::check_all(const sim::SessionResult& result,
                            qoe.violations.end());
   report.violations.insert(report.violations.end(), agg.violations.begin(),
                            agg.violations.end());
+  return report;
+}
+
+InvariantReport InvariantChecker::check_shared_link(
+    const sim::MultiPlayerResult& result, const trace::ThroughputTrace& link,
+    const sim::MultiPlayerConfig& config, const qoe::QoeModel& model) const {
+  InvariantReport report;
+  Collector check(report);
+  const double tol = options_.tolerance;
+  const double dt = config.time_step_s;
+
+  // Per session: the single-player replay, clocked from the join time.
+  InvariantOptions session_options = options_;
+  session_options.buffer_capacity_s = config.session.buffer_capacity_s;
+  session_options.include_startup_in_qoe =
+      config.session.include_startup_in_qoe;
+  session_options.check_time_continuity = false;
+  for (std::size_t i = 0; i < result.players.size(); ++i) {
+    session_options.join_time_s =
+        static_cast<double>(i) * config.startup_stagger_s;
+    const InvariantReport session =
+        InvariantChecker(session_options).check_all(result.players[i], model);
+    for (const std::string& v : session.violations) {
+      report.violations.push_back("player " + std::to_string(i) + ": " + v);
+    }
+  }
+
+  // Each chunk as a run of whole ticks [first, first + count).
+  struct Span {
+    std::size_t first = 0;
+    std::size_t count = 0;
+    double size_kb = 0.0;
+  };
+  std::vector<Span> spans;
+  std::size_t ticks = 0;
+  const auto tick_of = [dt](double t) {
+    return static_cast<std::size_t>(std::max(0.0, std::round(t / dt)));
+  };
+  for (std::size_t i = 0; i < result.players.size(); ++i) {
+    const std::vector<sim::ChunkRecord>& chunks = result.players[i].chunks;
+    double ready_s = static_cast<double>(i) * config.startup_stagger_s;
+    for (std::size_t k = 0; k < chunks.size(); ++k) {
+      const sim::ChunkRecord& r = chunks[k];
+      const std::string where = "player " + std::to_string(i) + " chunk " +
+                                std::to_string(k) + ": ";
+      if (r.start_s < ready_s - tol || r.start_s >= ready_s + dt + tol) {
+        report.violations.push_back(
+            where + "start_s not within one tick of join or previous wait");
+      }
+      Span span;
+      span.first = tick_of(r.start_s);
+      span.count = std::max<std::size_t>(1, tick_of(r.download_s));
+      span.size_kb = r.size_kilobits;
+      if (!check.near(r.start_s, static_cast<double>(span.first) * dt,
+                      tol * std::max(1.0, r.start_s / dt)) ||
+          !check.near(r.download_s, static_cast<double>(span.count) * dt,
+                      tol * static_cast<double>(span.count))) {
+        report.violations.push_back(where + "download is not whole ticks");
+      }
+      spans.push_back(span);
+      ticks = std::max(ticks, span.first + span.count);
+      ready_s = r.start_s + r.download_s + r.wait_s;
+    }
+  }
+
+  // Tick times are accumulated exactly as the simulator's clock is.
+  std::vector<double> tick_s(ticks);
+  std::vector<double> capacity_kb(ticks);
+  double now = 0.0;
+  for (std::size_t t = 0; t < ticks; ++t) {
+    tick_s[t] = now;
+    now += dt;
+  }
+  std::vector<std::size_t> active(ticks + 1, 0);
+  for (const Span& span : spans) {
+    ++active[span.first];
+    --active[span.first + span.count];
+  }
+  for (std::size_t t = 0; t < ticks; ++t) {
+    if (t > 0) active[t] += active[t - 1];
+    capacity_kb[t] =
+        active[t] > 0 ? link.kilobits_between(tick_s[t], tick_s[t] + dt) : 0.0;
+  }
+  const auto share = [&](std::size_t t) {
+    return capacity_kb[t] / static_cast<double>(active[t]);
+  };
+
+  // Equal split, and what each chunk takes on its last tick.
+  std::vector<double> finishing_kb(ticks, 0.0);
+  std::vector<std::size_t> finishing(ticks, 0);
+  for (const Span& span : spans) {
+    double before_last = 0.0;
+    const std::size_t last = span.first + span.count - 1;
+    for (std::size_t t = span.first; t < last; ++t) before_last += share(t);
+    const double eps = tol * std::max(1.0, span.size_kb);
+    if (before_last >= span.size_kb + eps ||
+        before_last + share(last) < span.size_kb - eps) {
+      std::ostringstream os;
+      os << "tick " << last << ": chunk of " << span.size_kb
+         << " kb is not the equal split (shares before last tick "
+         << before_last << ", with it " << before_last + share(last) << ")";
+      report.violations.push_back(os.str());
+    }
+    finishing_kb[last] += span.size_kb - before_last;
+    ++finishing[last];
+  }
+
+  // Capacity conservation, and the busy ticks behind link_utilization.
+  double delivered_kb = 0.0;
+  double busy_span_end = 0.0;
+  for (std::size_t t = 0; t < ticks; ++t) {
+    if (active[t] == 0) continue;
+    const double sent_kb =
+        static_cast<double>(active[t] - finishing[t]) * share(t) +
+        finishing_kb[t];
+    if (sent_kb > capacity_kb[t] + tol * std::max(1.0, capacity_kb[t])) {
+      std::ostringstream os;
+      os << "tick " << t << ": delivered " << sent_kb
+         << " kb over link capacity " << capacity_kb[t] << " kb";
+      report.violations.push_back(os.str());
+    }
+    delivered_kb += capacity_kb[t];
+    busy_span_end = tick_s[t] + dt;
+  }
+  const double offered_kb = link.kilobits_between(0.0, busy_span_end);
+  check.expect_near("link_utilization", result.link_utilization,
+                    offered_kb > 0.0 ? delivered_kb / offered_kb : 0.0, tol);
+
+  std::vector<double> average_bitrates;
+  for (const sim::SessionResult& player : result.players) {
+    average_bitrates.push_back(player.average_bitrate_kbps);
+  }
+  check.expect_near("jain_fairness", result.jain_fairness,
+                    sim::jain_index(average_bitrates), tol);
   return report;
 }
 

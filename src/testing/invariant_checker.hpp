@@ -4,7 +4,9 @@
 #include <vector>
 
 #include "qoe/qoe.hpp"
+#include "sim/multiplayer.hpp"
 #include "sim/player.hpp"
+#include "trace/throughput_trace.hpp"
 
 namespace abr::testing {
 
@@ -28,6 +30,10 @@ struct InvariantOptions {
   /// download + buffer-full wait ended. Holds for every sequential
   /// single-session source (virtual-time sim, FaultySource wrappers).
   bool check_time_continuity = true;
+
+  /// Session clock origin: startup_delay_s is measured from here. A
+  /// shared-link player joins at i * startup_stagger_s, not at 0.
+  double join_time_s = 0.0;
 
   double tolerance = 1e-9;      ///< absolute, for buffer/time quantities
   double qoe_tolerance = 1e-6;  ///< absolute, for the Eq. (5) conservation
@@ -62,6 +68,10 @@ struct InvariantReport {
 ///    bitrate/rebuffer vectors (QoE attribution conservation);
 ///  - aggregates: every derived counter/average in SessionResult matches a
 ///    recomputation from the chunk log.
+///
+/// check_shared_link extends the same contracts to a MultiPlayerResult:
+/// every player passes the replay above, and the link itself conserves
+/// capacity and splits it equally among concurrent downloads.
 class InvariantChecker {
  public:
   explicit InvariantChecker(InvariantOptions options) : options_(options) {}
@@ -79,6 +89,26 @@ class InvariantChecker {
   /// All of the above, violations concatenated.
   InvariantReport check_all(const sim::SessionResult& result,
                             const qoe::QoeModel& model) const;
+
+  /// A shared-link simulation, checked from its result alone:
+  ///  - per session: check_all with time continuity off and startup
+  ///    measured from the player's join time; buffer capacity and the
+  ///    startup QoE term come from config.session;
+  ///  - per chunk: it starts on a tick, within one tick of its player's
+  ///    join or of the previous chunk's end plus wait, and lasts whole
+  ///    ticks;
+  ///  - per tick: the active-download count is rebuilt from the chunks'
+  ///    [start_s, start_s + download_s) intervals, and the data delivered
+  ///    never exceeds link.kilobits_between(t, t + time_step_s);
+  ///  - equal split: the equal shares (tick capacity / active count) a
+  ///    chunk received before its last tick sum to less than its size,
+  ///    and including the last tick to at least its size;
+  ///  - per result: link_utilization recomputed from the busy ticks and
+  ///    jain_fairness from the players' average bitrates.
+  InvariantReport check_shared_link(const sim::MultiPlayerResult& result,
+                                    const trace::ThroughputTrace& link,
+                                    const sim::MultiPlayerConfig& config,
+                                    const qoe::QoeModel& model) const;
 
   const InvariantOptions& options() const { return options_; }
 

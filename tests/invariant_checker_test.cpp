@@ -1,7 +1,8 @@
 // Tests for testing::InvariantChecker — the shared Eq. (1)-(5) replay used
-// by property_test and the session-level fuzz harness. A clean simulated
-// session must pass every check; a tampered record must be flagged by the
-// specific check that owns the violated equation.
+// by property_test and the session-level fuzz harness, and its shared-link
+// extension. A clean simulated session must pass every check; a tampered
+// record must be flagged by the specific check that owns the violated
+// equation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,7 +12,9 @@
 #include "media/quality.hpp"
 #include "qoe/qoe.hpp"
 #include "sim/chunk_source.hpp"
+#include "sim/multiplayer.hpp"
 #include "sim/player.hpp"
+#include "test_helpers.hpp"
 #include "testing/invariant_checker.hpp"
 #include "trace/throughput_trace.hpp"
 
@@ -126,6 +129,79 @@ TEST(InvariantChecker, CheckAllConcatenatesViolations) {
 
   const InvariantReport report = fx.checker().check_all(result, fx.model);
   EXPECT_GE(report.violations.size(), 3u) << report.to_string();
+}
+
+// Two identical players in lockstep on a constant link: every tick carries
+// 120 kb split 60/60, and each 3000 kb chunk takes exactly 50 ticks.
+struct SharedFixture {
+  media::VideoManifest manifest = small_manifest();
+  qoe::QoeModel model = balanced_qoe();
+  trace::ThroughputTrace link = trace::ThroughputTrace::constant(2400.0, 1000.0);
+  sim::MultiPlayerConfig config;
+
+  sim::MultiPlayerResult run() const {
+    FixedLevelController c0(1);
+    FixedLevelController c1(1);
+    ConstantPredictor p0(1200.0);
+    ConstantPredictor p1(1200.0);
+    sim::BitrateController* controllers[] = {&c0, &c1};
+    predict::ThroughputPredictor* predictors[] = {&p0, &p1};
+    return sim::simulate_shared_link(link, manifest, model, config,
+                                     std::span(controllers, 2),
+                                     std::span(predictors, 2));
+  }
+
+  InvariantReport check(const sim::MultiPlayerResult& result) const {
+    InvariantOptions options;
+    options.chunk_duration_s = manifest.chunk_duration_s();
+    options.allow_failures = false;
+    return InvariantChecker(options).check_shared_link(result, link, config,
+                                                       model);
+  }
+};
+
+bool mentions(const InvariantReport& report, const char* what) {
+  return report.to_string().find(what) != std::string::npos;
+}
+
+TEST(SharedLinkInvariants, CleanRunPasses) {
+  const SharedFixture fx;
+  const InvariantReport report = fx.check(fx.run());
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+TEST(SharedLinkInvariants, ChunkOverItsEqualShareIsFlagged) {
+  const SharedFixture fx;
+  sim::MultiPlayerResult result = fx.run();
+  // Move 30 kb from player 1's first chunk to player 0's: the tick still
+  // carries 120 kb, but player 0 now finished on less than its shares.
+  result.players[0].chunks[0].size_kilobits += 30.0;
+  result.players[1].chunks[0].size_kilobits -= 30.0;
+
+  const InvariantReport report = fx.check(result);
+  EXPECT_TRUE(mentions(report, "equal split")) << report.to_string();
+  EXPECT_FALSE(mentions(report, "over link capacity")) << report.to_string();
+  EXPECT_EQ(report.violations.size(), 1u) << report.to_string();
+}
+
+TEST(SharedLinkInvariants, TickOverCapacityIsFlagged) {
+  const SharedFixture fx;
+  sim::MultiPlayerResult result = fx.run();
+  // 1000 kb more than the link can carry in one tick.
+  result.players[1].chunks[2].size_kilobits += 1000.0;
+
+  const InvariantReport report = fx.check(result);
+  EXPECT_TRUE(mentions(report, "over link capacity")) << report.to_string();
+}
+
+TEST(SharedLinkInvariants, WrongUtilizationIsFlagged) {
+  const SharedFixture fx;
+  sim::MultiPlayerResult result = fx.run();
+  result.link_utilization -= 0.01;
+
+  const InvariantReport report = fx.check(result);
+  EXPECT_TRUE(mentions(report, "link_utilization")) << report.to_string();
+  EXPECT_EQ(report.violations.size(), 1u) << report.to_string();
 }
 
 }  // namespace
