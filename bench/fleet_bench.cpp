@@ -1,4 +1,4 @@
-// Fleet-scale soak harness for the SoA shared-link engine
+// Fleet-scale soak harness for the shared-link simulator
 // (BENCH_fleet.json).
 //
 // Simulates a rolling-arrival fleet of N sessions on one shared link —
@@ -13,13 +13,10 @@
 // The deterministic metrics are gated hard against --baseline (the outcome
 // of the soak is a pure function of the config); sessions/sec is gated
 // loosely (--min-sessions-frac, default 0.25x baseline) so a noisy CI box
-// does not flake while a real 4x regression still fails. --compare-reference
-// additionally runs the reference engine on the same workload and reports
-// the speedup (gated by --min-speedup when nonzero).
+// does not flake while a real 4x regression still fails.
 //
 // Usage:
-//   fleet_bench [--sessions N] [--engine soa|reference] [--out FILE]
-//               [--baseline FILE] [--compare-reference] [--min-speedup X]
+//   fleet_bench [--sessions N] [--out FILE] [--baseline FILE]
 //               [--min-sessions-frac F] [--chunks N] [--chunk-duration S]
 //               [--dt S] [--arrival-window-factor F] [--link-kbps-per-session K]
 
@@ -40,7 +37,6 @@
 #include "obs/names.hpp"
 #include "predict/predictor.hpp"
 #include "qoe/qoe.hpp"
-#include "sim/fleet_engine.hpp"
 #include "sim/multiplayer.hpp"
 #include "trace/throughput_trace.hpp"
 
@@ -50,11 +46,8 @@ using Clock = std::chrono::steady_clock;
 
 struct Options {
   std::size_t sessions = 1000000;
-  std::string engine = "soa";
   std::string out = "BENCH_fleet.json";
   std::string baseline;
-  bool compare_reference = false;
-  double min_speedup = 0.0;
   double min_sessions_frac = 0.25;
   std::size_t chunks = 32;
   double chunk_duration_s = 4.0;
@@ -76,16 +69,10 @@ Options parse_options(int argc, char** argv) {
     };
     if (flag == "--sessions") {
       options.sessions = std::stoul(next());
-    } else if (flag == "--engine") {
-      options.engine = next();
     } else if (flag == "--out") {
       options.out = next();
     } else if (flag == "--baseline") {
       options.baseline = next();
-    } else if (flag == "--compare-reference") {
-      options.compare_reference = true;
-    } else if (flag == "--min-speedup") {
-      options.min_speedup = std::stod(next());
     } else if (flag == "--min-sessions-frac") {
       options.min_sessions_frac = std::stod(next());
     } else if (flag == "--chunks") {
@@ -103,9 +90,8 @@ Options parse_options(int argc, char** argv) {
       std::exit(2);
     }
   }
-  if (options.sessions == 0 ||
-      (options.engine != "soa" && options.engine != "reference")) {
-    std::cerr << "fleet_bench: bad --sessions or --engine\n";
+  if (options.sessions == 0) {
+    std::cerr << "fleet_bench: bad --sessions\n";
     std::exit(2);
   }
   return options;
@@ -147,7 +133,7 @@ struct SoakOutcome {
   double link_utilization = 0.0;
 };
 
-SoakOutcome run_soak(const Options& options, bool soa) {
+SoakOutcome run_soak(const Options& options) {
   const auto ladder = abr::media::VideoManifest::envivio_default();
   const auto manifest = abr::media::VideoManifest::cbr(
       options.chunks, options.chunk_duration_s, ladder.bitrates_kbps());
@@ -183,10 +169,7 @@ SoakOutcome run_soak(const Options& options, bool soa) {
   const std::span<abr::predict::ThroughputPredictor* const> ps(predictor_ptrs);
   const auto start = Clock::now();
   const abr::sim::MultiPlayerResult result =
-      soa ? abr::sim::simulate_shared_link_soa(link, manifest, qoe, config,
-                                               cs, ps)
-          : abr::sim::simulate_shared_link(link, manifest, qoe, config, cs,
-                                           ps);
+      abr::sim::simulate_shared_link(link, manifest, qoe, config, cs, ps);
   SoakOutcome outcome;
   outcome.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   outcome.sessions_per_sec = static_cast<double>(n) / outcome.wall_s;
@@ -222,40 +205,18 @@ int main(int argc, char** argv) {
   const Options options = parse_options(argc, argv);
   bool failed = false;
 
-  // Reference comparison first so the primary soak's histogram and RSS are
-  // not polluted by the warm-up run's instruments.
-  double reference_wall_s = 0.0;
-  double speedup = 0.0;
-  if (options.compare_reference) {
-    const SoakOutcome reference = run_soak(options, /*soa=*/false);
-    reference_wall_s = reference.wall_s;
-    std::cout << "fleet_bench: reference engine " << reference.wall_s
-              << " s (" << reference.sessions_per_sec << " sessions/sec)\n";
-  }
-
   abr::obs::MetricsRegistry& registry = abr::obs::MetricsRegistry::global();
   registry.set_enabled(true);
   registry.reset();
-  const SoakOutcome soak = run_soak(options, options.engine == "soa");
+  const SoakOutcome soak = run_soak(options);
   const abr::obs::HistogramSnapshot step_latency =
       registry.histogram(abr::obs::kFleetStepLatencyUs).snapshot();
   const double rss_mb = peak_rss_mb();
 
-  if (options.compare_reference) {
-    speedup = reference_wall_s / soak.wall_s;
-    std::cout << "fleet_bench: speedup " << speedup << "x over reference\n";
-    if (options.min_speedup > 0.0 && speedup < options.min_speedup) {
-      std::cerr << "fleet_bench: FAIL speedup " << speedup << "x < required "
-                << options.min_speedup << "x\n";
-      failed = true;
-    }
-  }
-
   std::ostringstream json;
   json << "{\n";
   json << "  \"config\": {\"sessions\": " << options.sessions
-       << ", \"engine\": \"" << options.engine
-       << "\", \"chunks\": " << options.chunks
+       << ", \"chunks\": " << options.chunks
        << ", \"chunk_duration_s\": " << options.chunk_duration_s
        << ", \"dt_s\": " << options.dt_s
        << ", \"arrival_window_factor\": " << options.arrival_window_factor
@@ -272,13 +233,7 @@ int main(int argc, char** argv) {
   json << "    \"qoe_sum\": " << soak.qoe_sum << ",\n";
   json << "    \"jain_fairness\": " << soak.jain << ",\n";
   json << "    \"link_utilization\": " << soak.link_utilization << "\n";
-  json << "  }";
-  if (options.compare_reference) {
-    json << ",\n  \"compare\": {\n";
-    json << "    \"reference_wall_s\": " << reference_wall_s << ",\n";
-    json << "    \"speedup\": " << speedup << "\n  }";
-  }
-  json << "\n}\n";
+  json << "  }\n}\n";
 
   std::ofstream out(options.out);
   out << json.str();

@@ -13,31 +13,11 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "sim/fleet_engine.hpp"
 #include "sim/multiplayer.hpp"
 
 using namespace abr;
 
 namespace {
-
-// --engine selects the shared-link engine: the SoA fleet engine (default)
-// or the reference array-of-structs implementation. Both produce
-// bit-identical results; the flag keeps the reference exercisable.
-bool g_use_soa = true;
-
-sim::MultiPlayerResult run_shared_link(
-    const trace::ThroughputTrace& link, const bench::Experiment& experiment,
-    const sim::MultiPlayerConfig& config,
-    std::span<sim::BitrateController* const> controllers,
-    std::span<predict::ThroughputPredictor* const> predictors) {
-  return g_use_soa
-             ? sim::simulate_shared_link_soa(link, experiment.manifest,
-                                             experiment.qoe, config,
-                                             controllers, predictors)
-             : sim::simulate_shared_link(link, experiment.manifest,
-                                         experiment.qoe, config, controllers,
-                                         predictors);
-}
 
 void run_case(const char* label, const trace::ThroughputTrace& link,
               std::size_t player_count, core::Algorithm algorithm,
@@ -55,8 +35,9 @@ void run_case(const char* label, const trace::ThroughputTrace& link,
   sim::MultiPlayerConfig config;
   config.session = experiment.session;
   config.startup_stagger_s = 2.0;
-  const sim::MultiPlayerResult result =
-      run_shared_link(link, experiment, config, controllers, predictors);
+  const sim::MultiPlayerResult result = sim::simulate_shared_link(
+      link, experiment.manifest, experiment.qoe, config, controllers,
+      predictors);
 
   util::RunningStats bitrate;
   util::RunningStats rebuffer;
@@ -76,24 +57,13 @@ void run_case(const char* label, const trace::ThroughputTrace& link,
 
 int main(int argc, char** argv) {
   // BenchOptions::parse exits(2) on flags it does not know, so peel the
-  // fleet-telemetry and engine flags off argv before handing the rest over.
+  // fleet-telemetry flag off argv before handing the rest over.
   std::string fleet_out;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fleet-out") == 0 && i + 1 < argc) {
       fleet_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      const std::string engine = argv[++i];
-      if (engine == "soa") {
-        g_use_soa = true;
-      } else if (engine == "reference") {
-        g_use_soa = false;
-      } else {
-        std::fprintf(stderr, "x_multiplayer: unknown --engine %s\n",
-                     engine.c_str());
-        return 2;
-      }
     } else {
       passthrough.push_back(argv[i]);
     }
@@ -152,7 +122,8 @@ int main(int argc, char** argv) {
     config.session = experiment.session;
     config.startup_stagger_s = 2.0;
     config.fleet = &fleet;
-    run_shared_link(variable, experiment, config, controllers, predictors);
+    sim::simulate_shared_link(variable, experiment.manifest, experiment.qoe,
+                              config, controllers, predictors);
     try {
       fleet.save(fleet_out);
     } catch (const std::exception& e) {

@@ -1,8 +1,11 @@
 // Fleet-level structure-aware fuzzer: decodes bytes into a shared-link
 // experiment (1-64 players, join stagger, time step, a constant, step, or
-// seeded Markov link, and a per-player registry controller) and runs it
-// through both shared-link engines. Results, journal and fleet series must
-// be equal between the engines.
+// seeded Markov link, and a per-player registry controller), runs it
+// through sim::simulate_shared_link, and checks the result with
+// testing::InvariantChecker::check_shared_link: Eqs. (1)-(5) per player,
+// capacity conservation and the equal split per tick, and the link-level
+// aggregates. A second run from fresh objects must reproduce the result,
+// journal and fleet series bit for bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,9 +23,9 @@
 #include "media/quality.hpp"
 #include "obs/journal.hpp"
 #include "qoe/qoe.hpp"
-#include "sim/fleet_engine.hpp"
 #include "sim/fleet_series.hpp"
 #include "sim/multiplayer.hpp"
+#include "testing/invariant_checker.hpp"
 #include "trace/generators.hpp"
 #include "trace/throughput_trace.hpp"
 #include "util/rng.hpp"
@@ -118,7 +121,8 @@ void decode(abr::fuzz::FuzzInput& in, Decoded& out) {
   for (std::size_t i = 0; i < players; ++i) {
     out.algorithms.push_back(
         kAlgorithms[in.uniform_size(0, kAlgorithmChoices - 1)]);
-    fastmpc = fastmpc || out.algorithms.back() == abr::core::Algorithm::kFastMpc;
+    fastmpc = fastmpc ||
+              out.algorithms.back() == abr::core::Algorithm::kFastMpc;
   }
   out.options = abr::core::AlgorithmOptions{};
   out.options.buffer_capacity_s = out.config.session.buffer_capacity_s;
@@ -130,14 +134,17 @@ void decode(abr::fuzz::FuzzInput& in, Decoded& out) {
     table.throughput_bins = 10;
     table.threads = 1;
     table.buffer_capacity_s = out.config.session.buffer_capacity_s;
-    out.options.fastmpc_table = std::make_shared<const abr::core::FastMpcTable>(
-        abr::core::FastMpcTable::build(out.manifest, out.model, table));
+    out.options.fastmpc_table =
+        std::make_shared<const abr::core::FastMpcTable>(
+            abr::core::FastMpcTable::build(out.manifest, out.model, table));
   }
 }
 
-/// Everything a run produces, rendered so that equal text means equal bits.
+/// Everything a run produces; `text` renders the result so that equal text
+/// means equal bits.
 struct Outcome {
-  std::string result;
+  abr::sim::MultiPlayerResult result;
+  std::string text;
   std::string journal;
   std::string fleet;
   bool starved = false;
@@ -169,8 +176,7 @@ std::string render(const abr::sim::MultiPlayerResult& result) {
   return out.str();
 }
 
-template <typename Engine>
-Outcome run_once(const Decoded& d, Engine engine) {
+Outcome run_once(const Decoded& d) {
   std::vector<abr::core::AlgorithmInstance> instances;
   std::vector<abr::sim::BitrateController*> controllers;
   std::vector<abr::predict::ThroughputPredictor*> predictors;
@@ -191,10 +197,11 @@ Outcome run_once(const Decoded& d, Engine engine) {
 
   Outcome outcome;
   try {
-    outcome.result = render(engine(
+    outcome.result = abr::sim::simulate_shared_link(
         d.link, d.manifest, d.model, config,
         std::span<abr::sim::BitrateController* const>(controllers),
-        std::span<abr::predict::ThroughputPredictor* const>(predictors)));
+        std::span<abr::predict::ThroughputPredictor* const>(predictors));
+    outcome.text = render(outcome.result);
   } catch (const std::runtime_error&) {
     outcome.starved = true;  // the safety valve: the link cannot keep up
   }
@@ -212,14 +219,26 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   Decoded decoded;
   decode(in, decoded);
 
-  const Outcome reference = run_once(decoded, &abr::sim::simulate_shared_link);
-  const Outcome soa = run_once(decoded, &abr::sim::simulate_shared_link_soa);
-  ABR_FUZZ_REQUIRE(reference.starved == soa.starved);
-  ABR_FUZZ_REQUIRE_MSG(reference.result == soa.result,
-                       "engines disagree on the result");
-  ABR_FUZZ_REQUIRE_MSG(reference.journal == soa.journal,
-                       "engines disagree on the journal");
-  ABR_FUZZ_REQUIRE_MSG(reference.fleet == soa.fleet,
-                       "engines disagree on the fleet series");
+  const Outcome outcome = run_once(decoded);
+  if (!outcome.starved) {
+    ABR_FUZZ_REQUIRE(outcome.result.players.size() ==
+                     decoded.algorithms.size());
+    abr::testing::InvariantOptions options;
+    options.chunk_duration_s = decoded.manifest.chunk_duration_s();
+    options.allow_failures = false;
+    const abr::testing::InvariantReport report =
+        abr::testing::InvariantChecker(options).check_shared_link(
+            outcome.result, decoded.link, decoded.config, decoded.model);
+    ABR_FUZZ_REQUIRE_MSG(report.ok(), report.to_string());
+  }
+
+  // Determinism: fresh controllers and sinks, same bits out.
+  const Outcome again = run_once(decoded);
+  ABR_FUZZ_REQUIRE(again.starved == outcome.starved);
+  ABR_FUZZ_REQUIRE_MSG(again.text == outcome.text, "result not reproducible");
+  ABR_FUZZ_REQUIRE_MSG(again.journal == outcome.journal,
+                       "journal not reproducible");
+  ABR_FUZZ_REQUIRE_MSG(again.fleet == outcome.fleet,
+                       "fleet series not reproducible");
   return 0;
 }

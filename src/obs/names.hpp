@@ -90,8 +90,8 @@ inline constexpr char kFleetSessionsActive[] = "abr_fleet_sessions_active";
 inline constexpr char kFleetBucketsEvictedTotal[] =
     "abr_fleet_buckets_evicted_total";
 
-// Sharded serving core + SoA fleet engine (net/epoll_server,
-// sim/fleet_engine).
+// Sharded serving core + shared-link simulator (net/epoll_server,
+// sim/multiplayer).
 inline constexpr char kServerShardConnections[] =
     "abr_server_shard_connections";
 inline constexpr char kFleetStepLatencyUs[] = "abr_fleet_step_latency_us";

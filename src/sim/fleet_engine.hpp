@@ -1,35 +1,20 @@
 #pragma once
 
-#include <span>
-
-#include "media/manifest.hpp"
-#include "predict/predictor.hpp"
-#include "qoe/qoe.hpp"
 #include "sim/multiplayer.hpp"
 
 namespace abr::sim {
 
-/// Struct-of-arrays fleet engine for the shared-link simulation.
-///
-/// Produces bit-identical MultiPlayerResult, journal, trace, and fleet
-/// series output to simulate_shared_link (the reference engine) — same
-/// controller/predictor call sequence, same floating-point accumulation —
-/// but holds the per-player hot state (buffer level, playback position,
-/// rung, bytes remaining, deadlines) in parallel contiguous vectors and
-/// schedules joins and buffer-full waits on a binary heap:
-///
-///  - The per-tick advance is one pass over the *downloading* players'
-///    contiguous state, not a scan of every player ever created.
-///  - Ticks where nobody is downloading cost O(1) (a heap peek), not O(N);
-///    waiting and finished players are never touched.
-///
-/// One box can therefore soak-test 1M+ concurrent sessions (bench/
-/// fleet_bench drives exactly that). Tick wall time is observed into the
-/// abr_fleet_step_latency_us histogram when the global registry is enabled.
-MultiPlayerResult simulate_shared_link_soa(
+/// Former name of simulate_shared_link, from when a second (struct-of-
+/// arrays) engine lived beside it. That engine is now simulate_shared_link
+/// itself; this forwarder remains only because the repository benchmark
+/// (perfbench/src/fleet.cpp) still calls it by this name.
+inline MultiPlayerResult simulate_shared_link_soa(
     const trace::ThroughputTrace& link, const media::VideoManifest& manifest,
     const qoe::QoeModel& qoe, const MultiPlayerConfig& config,
     std::span<BitrateController* const> controllers,
-    std::span<predict::ThroughputPredictor* const> predictors);
+    std::span<predict::ThroughputPredictor* const> predictors) {
+  return simulate_shared_link(link, manifest, qoe, config, controllers,
+                              predictors);
+}
 
 }  // namespace abr::sim

@@ -30,8 +30,9 @@ struct FleetSeriesConfig {
 /// peak sessions active. Fed by sim::simulate_shared_link as chunks
 /// complete, exported as FLEET_timeseries.json. All timestamps are virtual
 /// simulation time and the JSON rendering is deterministic, so seeded runs
-/// export byte-identical series. Not thread-safe (the shared-link simulator
-/// is single-threaded).
+/// export byte-identical series (tests/golden/shared_markov3_fleet.json
+/// pins one). Not thread-safe (the shared-link simulator is
+/// single-threaded).
 class FleetSeries {
  public:
   explicit FleetSeries(FleetSeriesConfig config = {});

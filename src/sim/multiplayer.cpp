@@ -1,15 +1,17 @@
 #include "sim/multiplayer.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <chrono>
+#include <cstdint>
+#include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "obs/trace_event.hpp"
+#include "sim/session_log.hpp"
 
 namespace abr::sim {
 
@@ -27,42 +29,12 @@ double jain_index(std::span<const double> values) {
 
 namespace {
 
-/// Per-player simulation state.
-struct Player {
-  enum class Phase { kIdle, kDownloading, kWaiting, kDone };
+enum class Phase : std::uint8_t { kIdle, kDownloading, kWaiting, kDone };
 
-  Phase phase = Phase::kIdle;
-  double join_time_s = 0.0;
-
-  std::size_t next_chunk = 0;
-  std::size_t level = 0;
-  double remaining_kb = 0.0;     ///< of the in-flight chunk
-  double chunk_kb = 0.0;
-  double download_started_s = 0.0;
-  double wait_until_s = 0.0;
-
-  double buffer_s = 0.0;
-  bool playing = false;
-  double startup_delay_s = 0.0;
-  double stall_s = 0.0;          ///< stall accumulated for the current chunk
-  double buffer_before_s = 0.0;  ///< B_k at the decision point
-
-  std::size_t prev_level = 0;
-  bool has_prev = false;
-  std::vector<double> history_kbps;
-
-  SessionResult result;
-  qoe::QoeModel::Accumulator qoe_acc;
-
-  // Journal attribution state (mirrors the Accumulator's smoothness memory
-  // so per-chunk charges sum exactly to the session totals).
-  double journal_prev_quality = 0.0;
-  bool journal_has_prev = false;
-  double journal_qoe_cum = 0.0;
-  DecisionTelemetry telemetry;  ///< snapshot for the in-flight chunk
-
-  explicit Player(const qoe::QoeModel& model) : qoe_acc(model) {}
-};
+/// (event time, player index): a pending join or buffer-full wait expiry.
+/// Min-heap on time; same-tick events are re-sorted by index before
+/// processing, so controllers run in ascending player order.
+using Event = std::pair<double, std::uint32_t>;
 
 }  // namespace
 
@@ -89,286 +61,280 @@ MultiPlayerResult simulate_shared_link(
   const std::size_t chunk_count = manifest.chunk_count();
   const double dt = config.time_step_s;
 
-  std::vector<Player> players;
-  players.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    controllers[i]->reset();
-    Player player(qoe);
-    player.join_time_s = static_cast<double>(i) * config.startup_stagger_s;
-    players.push_back(std::move(player));
-  }
+  // Hot per-player state: parallel contiguous vectors (the advance pass
+  // touches only these).
+  std::vector<Phase> phase(n, Phase::kIdle);
+  std::vector<double> buffer_s(n, 0.0);
+  std::vector<double> remaining_kb(n, 0.0);
+  std::vector<double> stall_s(n, 0.0);
+  std::vector<std::uint8_t> playing(n, 0);
 
-  // Per-player aggregation (labeled player="i") plus one trace track per
-  // player when a writer is attached.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  obs::TraceWriter* tracer =
-      config.trace_writer != nullptr && config.trace_writer->enabled()
-          ? config.trace_writer
-          : nullptr;
+  // Warm state: read on chunk boundaries only.
+  std::vector<double> join_time_s(n);
+  std::vector<double> chunk_kb(n, 0.0);
+  std::vector<double> download_started_s(n, 0.0);
+  std::vector<double> buffer_before_s(n, 0.0);
+  std::vector<double> startup_delay_s(n, 0.0);
+  std::vector<std::uint32_t> next_chunk(n, 0);
+  std::vector<std::uint32_t> level(n, 0);
+  std::vector<std::uint32_t> prev_level(n, 0);
+  std::vector<std::uint8_t> has_prev(n, 0);
+  std::vector<std::vector<double>> history(n);
+
+  // Cold state: results, QoE accumulators, journal attribution.
   FleetSeries* fleet = config.fleet;
   obs::Journal* journal = config.journal;
-  const qoe::QoeWeights& weights = qoe.weights();
-  obs::Gauge& fleet_active_gauge = registry.gauge(obs::kFleetSessionsActive);
-  std::vector<obs::Counter*> chunk_counters(n);
-  std::vector<obs::Counter*> rebuffer_counters(n);
+  std::vector<SessionResult> session(n);
+  std::vector<qoe::QoeModel::Accumulator> qoe_acc;
+  qoe_acc.reserve(n);
+  std::vector<QoeAttribution> attribution(
+      journal != nullptr || fleet != nullptr ? n : 0);
+  std::vector<DecisionTelemetry> telemetry(n);
+
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string label = "player=\"" + std::to_string(i) + "\"";
-    chunk_counters[i] = &registry.counter(obs::kChunksDownloadedTotal, label);
-    rebuffer_counters[i] =
-        &registry.counter(obs::kRebufferSecondsTotal, label);
-    if (tracer != nullptr) {
-      tracer->set_thread_name("player " + std::to_string(i),
-                              static_cast<int>(i));
+    controllers[i]->reset();
+    qoe_acc.emplace_back(qoe);
+    join_time_s[i] = static_cast<double>(i) * config.startup_stagger_s;
+    events.emplace(join_time_s[i], static_cast<std::uint32_t>(i));
+    // Every session downloads every chunk; reserving up front removes the
+    // growth-copy chains from the hot completion path (no output change).
+    session[i].chunks.reserve(chunk_count);
+    history[i].reserve(chunk_count);
+  }
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Gauge& fleet_active_gauge = registry.gauge(obs::kFleetSessionsActive);
+  obs::Histogram& step_latency =
+      registry.histogram(obs::kFleetStepLatencyUs, "",
+                         obs::exponential_buckets(1.0, 2.0, 20));
+  const bool metrics_on = registry.enabled();
+  // Per-player instruments are fetched only when the registry is live: a
+  // million-session soak must not allocate two million no-op instruments.
+  std::vector<obs::Counter*> chunk_counters(metrics_on ? n : 0);
+  std::vector<obs::Counter*> rebuffer_counters(metrics_on ? n : 0);
+  if (metrics_on) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string label = "player=\"" + std::to_string(i) + "\"";
+      chunk_counters[i] = &registry.counter(obs::kChunksDownloadedTotal, label);
+      rebuffer_counters[i] =
+          &registry.counter(obs::kRebufferSecondsTotal, label);
     }
   }
 
-  // Starts the download of `player`'s next chunk (runs the controller).
-  const auto begin_chunk = [&](Player& player, std::size_t index, double now) {
+  // Starts the download of player `i`'s next chunk (runs the controller).
+  const auto begin_chunk = [&](std::size_t i, double now) {
     predict::PredictionInput input;
-    input.history_kbps = player.history_kbps;
+    input.history_kbps = history[i];
     input.now_s = now;
     input.chunk_duration_s = chunk_duration;
     input.truth = nullptr;  // the fair share is not the raw trace
     const std::size_t horizon = std::max<std::size_t>(
-        1, std::min(controllers[index]->prediction_horizon(),
-                    chunk_count - player.next_chunk));
+        1, std::min(controllers[i]->prediction_horizon(),
+                    chunk_count - next_chunk[i]));
     const std::vector<double> predictions =
-        predictors[index]->predict(input, horizon);
+        predictors[i]->predict(input, horizon);
 
     AbrState state;
-    state.chunk_index = player.next_chunk;
-    state.buffer_s = player.buffer_s;
-    state.prev_level = player.prev_level;
-    state.has_prev = player.has_prev;
-    state.throughput_history_kbps = player.history_kbps;
+    state.chunk_index = next_chunk[i];
+    state.buffer_s = buffer_s[i];
+    state.prev_level = prev_level[i];
+    state.has_prev = has_prev[i] != 0;
+    state.throughput_history_kbps = history[i];
     state.prediction_kbps = predictions;
     state.now_s = now;
-    state.playback_started = player.playing;
-    const std::size_t level = controllers[index]->decide(state, manifest);
-    if (level >= manifest.level_count()) {
+    state.playback_started = playing[i] != 0;
+    const std::size_t chosen = controllers[i]->decide(state, manifest);
+    if (chosen >= manifest.level_count()) {
       throw std::logic_error("shared-link controller returned bad level");
     }
-    player.telemetry = DecisionTelemetry{};
-    if (const DecisionTelemetry* t = controllers[index]->last_decision()) {
-      player.telemetry = *t;
+    telemetry[i] = DecisionTelemetry{};
+    if (const DecisionTelemetry* t = controllers[i]->last_decision()) {
+      telemetry[i] = *t;
     }
 
-    player.level = level;
-    player.chunk_kb = manifest.chunk_kilobits(player.next_chunk, level);
-    player.remaining_kb = player.chunk_kb;
-    player.download_started_s = now;
-    player.stall_s = 0.0;
-    player.buffer_before_s = player.buffer_s;
-    player.phase = Player::Phase::kDownloading;
+    level[i] = static_cast<std::uint32_t>(chosen);
+    chunk_kb[i] = manifest.chunk_kilobits(next_chunk[i], chosen);
+    remaining_kb[i] = chunk_kb[i];
+    download_started_s[i] = now;
+    stall_s[i] = 0.0;
+    buffer_before_s[i] = buffer_s[i];
+    phase[i] = Phase::kDownloading;
 
     ChunkRecord record;
-    record.index = player.next_chunk;
-    record.level = level;
-    record.bitrate_kbps = manifest.bitrate_kbps(level);
-    record.size_kilobits = player.chunk_kb;
+    record.index = next_chunk[i];
+    record.level = chosen;
+    record.bitrate_kbps = manifest.bitrate_kbps(chosen);
+    record.size_kilobits = chunk_kb[i];
     record.start_s = now;
-    record.buffer_before_s = player.buffer_s;
+    record.buffer_before_s = buffer_s[i];
     record.predicted_kbps = predictions.empty() ? 0.0 : predictions.front();
-    player.result.chunks.push_back(record);
+    session[i].chunks.push_back(record);
   };
 
   double now = 0.0;
   double delivered_kb = 0.0;
   double busy_span_end = 0.0;
+  std::size_t live = n;
 
-  // Indices of players that are not yet done, ascending. Finished players
-  // are compacted out (order-preserving) after each tick so a long-lived
-  // straggler does not pay an O(N) scan over everyone who already finished.
-  std::vector<std::size_t> live(n);
-  for (std::size_t i = 0; i < n; ++i) live[i] = i;
+  // Downloading players, ascending index (the advance pass order).
+  std::vector<std::uint32_t> active_list;
+  active_list.reserve(n);
+  std::vector<std::uint32_t> due;
+  std::vector<std::uint32_t> joined;
 
-  while (!live.empty()) {
-    // 1. Phase transitions that happen at this instant.
-    for (const std::size_t i : live) {
-      Player& player = players[i];
-      if (player.phase == Player::Phase::kIdle && now + 1e-12 >= player.join_time_s) {
-        begin_chunk(player, i, now);
-      } else if (player.phase == Player::Phase::kWaiting &&
-                 now + 1e-12 >= player.wait_until_s) {
-        if (player.next_chunk < chunk_count) {
-          begin_chunk(player, i, now);
-        } else {
-          player.phase = Player::Phase::kDone;
+  while (live > 0) {
+    const bool timing = metrics_on;
+    const auto step_begin = timing ? std::chrono::steady_clock::now()
+                                   : std::chrono::steady_clock::time_point{};
+
+    // 1. Phase transitions that happen at this instant. Only players with a
+    // due event are touched, in index order.
+    if (!events.empty() && events.top().first <= now + 1e-12) {
+      due.clear();
+      joined.clear();
+      do {
+        due.push_back(events.top().second);
+        events.pop();
+      } while (!events.empty() && events.top().first <= now + 1e-12);
+      std::sort(due.begin(), due.end());
+      for (const std::uint32_t i : due) {
+        if (phase[i] == Phase::kIdle) {
+          begin_chunk(i, now);
+          joined.push_back(i);
+        } else if (phase[i] == Phase::kWaiting) {
+          if (next_chunk[i] < chunk_count) {
+            begin_chunk(i, now);
+            joined.push_back(i);
+          } else {
+            phase[i] = Phase::kDone;
+            --live;
+          }
         }
+      }
+      if (!joined.empty()) {
+        const auto mid = static_cast<std::ptrdiff_t>(active_list.size());
+        active_list.insert(active_list.end(), joined.begin(), joined.end());
+        std::inplace_merge(active_list.begin(), active_list.begin() + mid,
+                           active_list.end());
       }
     }
 
     // 2. Fair share for this step.
-    std::size_t active = 0;
-    for (const std::size_t i : live) {
-      if (players[i].phase == Player::Phase::kDownloading) ++active;
+    const std::size_t active = active_list.size();
+    fleet_active_gauge.set(static_cast<double>(active));
+    if (active == 0) {
+      // Idle tick: nobody downloads, nothing drains (waiting buffers were
+      // pre-drained at append time). O(1) — skip straight to the clock.
+      now += dt;
+      if (now > 100.0 * manifest.duration_s() + 1000.0) {
+        throw std::runtime_error(
+            "simulate_shared_link: link cannot sustain video");
+      }
+      continue;
     }
 
     const double step_kb = link.kilobits_between(now, now + dt);
-    const double share_kb =
-        active > 0 ? step_kb / static_cast<double>(active) : 0.0;
-    if (active > 0) {
-      delivered_kb += step_kb;
-      busy_span_end = now + dt;
-    }
-    fleet_active_gauge.set(static_cast<double>(active));
-    if (fleet != nullptr && active > 0) fleet->note_active(now, active);
+    const double share_kb = step_kb / static_cast<double>(active);
+    delivered_kb += step_kb;
+    busy_span_end = now + dt;
+    if (fleet != nullptr) fleet->note_active(now, active);
 
-    // 3. Advance every live player by dt.
-    for (const std::size_t i : live) {
-      Player& player = players[i];
-      switch (player.phase) {
-        case Player::Phase::kIdle:
-        case Player::Phase::kDone:
-          break;
-        case Player::Phase::kWaiting:
-          // The buffer-full wait already accounted for its drain when the
-          // buffer was clamped to capacity at append time (same convention
-          // as PlayerSession): the buffer sits at Bmax when the wait ends.
-          break;
-        case Player::Phase::kDownloading: {
-          if (player.playing) {
-            const double drained = std::min(player.buffer_s, dt);
-            player.stall_s += dt - drained;
-            player.buffer_s -= drained;
-          }
-          player.remaining_kb -= share_kb;
-          if (player.remaining_kb <= 1e-9) {
-            // Chunk complete.
-            const double end = now + dt;
-            const double duration =
-                std::max(end - player.download_started_s, 1e-9);
-            ChunkRecord& record = player.result.chunks.back();
-            record.download_s = duration;
-            record.throughput_kbps = player.chunk_kb / duration;
-            record.rebuffer_s = player.stall_s;
+    // 3. Advance every downloading player by dt — one pass over contiguous
+    // state, compacting completed players out in place (order-preserving).
+    std::size_t out = 0;
+    for (std::size_t pos = 0; pos < active_list.size(); ++pos) {
+      const std::uint32_t i = active_list[pos];
+      if (playing[i] != 0) {
+        const double drained = std::min(buffer_s[i], dt);
+        stall_s[i] += dt - drained;
+        buffer_s[i] -= drained;
+      }
+      remaining_kb[i] -= share_kb;
+      if (remaining_kb[i] > 1e-9) {
+        active_list[out++] = i;
+        continue;
+      }
 
-            player.buffer_s += chunk_duration;
-            if (!player.playing) {
-              switch (config.session.startup_policy) {
-                case StartupPolicy::kFirstChunk:
-                  player.playing = true;
-                  player.startup_delay_s = end - player.join_time_s;
-                  break;
-                case StartupPolicy::kBufferThreshold:
-                  if (player.buffer_s >=
-                      config.session.startup_buffer_threshold_s) {
-                    player.playing = true;
-                    player.startup_delay_s = end - player.join_time_s;
-                  }
-                  break;
-                case StartupPolicy::kFixedDelay:
-                  break;  // rejected above
-              }
+      // Chunk complete.
+      const double end = now + dt;
+      const double duration = std::max(end - download_started_s[i], 1e-9);
+      ChunkRecord& record = session[i].chunks.back();
+      record.download_s = duration;
+      record.throughput_kbps = chunk_kb[i] / duration;
+      record.rebuffer_s = stall_s[i];
+
+      buffer_s[i] += chunk_duration;
+      if (playing[i] == 0) {
+        switch (config.session.startup_policy) {
+          case StartupPolicy::kFirstChunk:
+            playing[i] = 1;
+            startup_delay_s[i] = end - join_time_s[i];
+            break;
+          case StartupPolicy::kBufferThreshold:
+            if (buffer_s[i] >= config.session.startup_buffer_threshold_s) {
+              playing[i] = 1;
+              startup_delay_s[i] = end - join_time_s[i];
             }
-
-            double wait_s = 0.0;
-            if (player.buffer_s > capacity) {
-              wait_s = player.buffer_s - capacity;
-              player.buffer_s = capacity;
-            }
-            record.wait_s = wait_s;
-            record.buffer_after_s = player.buffer_s;
-
-            chunk_counters[i]->increment();
-            rebuffer_counters[i]->increment(record.rebuffer_s);
-            if (tracer != nullptr) {
-              const int tid = static_cast<int>(i);
-              tracer->complete("download", "net", record.start_s,
-                               record.download_s, tid,
-                               {{"chunk", record.index},
-                                {"level", record.level},
-                                {"throughput_kbps", record.throughput_kbps}});
-              if (record.rebuffer_s > 0.0) {
-                tracer->complete("rebuffer", "playback",
-                                 end - record.rebuffer_s, record.rebuffer_s,
-                                 tid, {{"chunk", record.index}});
-              }
-              tracer->counter("buffer_s p" + std::to_string(i), end,
-                              player.buffer_s);
-            }
-
-            player.qoe_acc.add_chunk(record.bitrate_kbps, record.rebuffer_s);
-            if (journal != nullptr || fleet != nullptr) {
-              const double q = qoe.quality(record.bitrate_kbps);
-              const double switch_penalty =
-                  player.journal_has_prev
-                      ? weights.lambda *
-                            std::abs(q - player.journal_prev_quality)
-                      : 0.0;
-              const double rebuffer_charge =
-                  weights.mu * record.rebuffer_s +
-                  (record.rebuffer_s > 0.0 ? weights.mu_event : 0.0);
-              const double qoe_chunk = q - switch_penalty - rebuffer_charge;
-              player.journal_prev_quality = q;
-              player.journal_has_prev = true;
-              player.journal_qoe_cum += qoe_chunk;
-              if (fleet != nullptr) {
-                fleet->record_chunk(end, record, qoe_chunk);
-              }
-              if (journal != nullptr) {
-                obs::ChunkJournalEntry entry;
-                entry.session = "p" + std::to_string(i);
-                entry.algorithm = controllers[i]->name();
-                entry.chunk = record.index;
-                entry.level = record.level;
-                entry.t_s = record.start_s;
-                entry.bitrate_kbps = record.bitrate_kbps;
-                entry.download_s = record.download_s;
-                entry.throughput_kbps = record.throughput_kbps;
-                entry.buffer_before_s = record.buffer_before_s;
-                entry.buffer_after_s = record.buffer_after_s;
-                entry.rebuffer_s = record.rebuffer_s;
-                entry.wait_s = record.wait_s;
-                entry.qoe_utility = q;
-                entry.qoe_switch_penalty = switch_penalty;
-                entry.qoe_rebuffer_charge = rebuffer_charge;
-                entry.qoe_chunk = qoe_chunk;
-                entry.qoe_cumulative = player.journal_qoe_cum;
-                entry.predicted_kbps = record.predicted_kbps;
-                entry.effective_kbps =
-                    player.telemetry.effective_forecast_kbps;
-                entry.error_window = player.telemetry.error_window;
-                entry.nodes_expanded = player.telemetry.nodes_expanded;
-                entry.warm_start = player.telemetry.warm_start;
-                entry.solver_path = player.telemetry.path;
-                entry.origin = record.origin;
-                entry.attempts = record.attempts;
-                entry.faults = record.faults;
-                entry.degraded = record.degraded;
-                entry.skipped = record.skipped;
-                journal->chunk(entry);
-              }
-            }
-            player.history_kbps.push_back(record.throughput_kbps);
-            player.prev_level = player.level;
-            player.has_prev = true;
-            ++player.next_chunk;
-
-            if (wait_s > 0.0 || player.next_chunk >= chunk_count) {
-              player.wait_until_s = end + wait_s;
-              player.phase = player.next_chunk >= chunk_count
-                                 ? Player::Phase::kDone
-                                 : Player::Phase::kWaiting;
-            } else {
-              begin_chunk(player, i, end);
-            }
-          }
-          break;
+            break;
+          case StartupPolicy::kFixedDelay:
+            break;  // rejected above
         }
       }
+
+      double wait_s = 0.0;
+      if (buffer_s[i] > capacity) {
+        wait_s = buffer_s[i] - capacity;
+        buffer_s[i] = capacity;
+      }
+      record.wait_s = wait_s;
+      record.buffer_after_s = buffer_s[i];
+
+      if (metrics_on) {
+        chunk_counters[i]->increment();
+        rebuffer_counters[i]->increment(record.rebuffer_s);
+      }
+      qoe_acc[i].add_chunk(record.bitrate_kbps, record.rebuffer_s);
+      if (journal != nullptr || fleet != nullptr) {
+        const QoeAttribution::Charge charge =
+            attribution[i].add(qoe, record.bitrate_kbps, record.rebuffer_s);
+        if (fleet != nullptr) fleet->record_chunk(end, record, charge.chunk);
+        if (journal != nullptr) {
+          journal_chunk(*journal, "p" + std::to_string(i),
+                        controllers[i]->name(), record, charge, telemetry[i]);
+        }
+      }
+      history[i].push_back(record.throughput_kbps);
+      prev_level[i] = level[i];
+      has_prev[i] = 1;
+      ++next_chunk[i];
+
+      if (wait_s > 0.0 || next_chunk[i] >= chunk_count) {
+        if (next_chunk[i] >= chunk_count) {
+          phase[i] = Phase::kDone;
+          --live;
+        } else {
+          phase[i] = Phase::kWaiting;
+          events.emplace(end + wait_s, i);
+        }
+      } else {
+        begin_chunk(i, end);
+        active_list[out++] = i;  // chained download: still active
+      }
     }
+    active_list.resize(out);
 
     now += dt;
-    live.erase(std::remove_if(live.begin(), live.end(),
-                              [&](std::size_t i) {
-                                return players[i].phase == Player::Phase::kDone;
-                              }),
-               live.end());
     // Safety valve: a link far too slow for even the lowest bitrate would
     // otherwise spin forever.
     if (now > 100.0 * manifest.duration_s() + 1000.0) {
-      throw std::runtime_error("simulate_shared_link: link cannot sustain video");
+      throw std::runtime_error(
+          "simulate_shared_link: link cannot sustain video");
+    }
+    if (timing) {
+      step_latency.observe(std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - step_begin)
+                               .count());
     }
   }
 
@@ -377,79 +343,21 @@ MultiPlayerResult simulate_shared_link(
   result.players.reserve(n);
   std::vector<double> average_bitrates;
   for (std::size_t i = 0; i < n; ++i) {
-    Player& player = players[i];
-    player.qoe_acc.set_startup_delay(
-        config.session.include_startup_in_qoe ? player.startup_delay_s : 0.0);
-    SessionResult& session = player.result;
-    session.startup_delay_s = player.startup_delay_s;
-    session.total_rebuffer_s = player.qoe_acc.total_rebuffer_s();
-    session.qoe = player.qoe_acc.total();
-    session.session_duration_s = now;
-
-    double bitrate_sum = 0.0;
-    double change_sum = 0.0;
-    double wait_sum = 0.0;
-    std::size_t stalled = 0;
-    for (std::size_t k = 0; k < session.chunks.size(); ++k) {
-      const ChunkRecord& r = session.chunks[k];
-      bitrate_sum += r.bitrate_kbps;
-      wait_sum += r.wait_s;
-      session.total_attempts += r.attempts;
-      if (r.rebuffer_s > 0.0) ++stalled;
-      if (k > 0) {
-        const double delta =
-            std::abs(r.bitrate_kbps - session.chunks[k - 1].bitrate_kbps);
-        change_sum += delta;
-        if (delta > 0.0) ++session.switch_count;
-      }
-    }
-    const auto chunks = static_cast<double>(session.chunks.size());
-    session.average_bitrate_kbps = chunks > 0 ? bitrate_sum / chunks : 0.0;
-    session.average_bitrate_change_kbps =
-        session.chunks.size() > 1 ? change_sum / (chunks - 1.0) : 0.0;
-    session.total_wait_s = wait_sum;
-    session.rebuffer_chunk_fraction =
-        chunks > 0 ? static_cast<double>(stalled) / chunks : 0.0;
-
+    SessionResult& player = session[i];
+    finalize_session(player, qoe_acc[i], startup_delay_s[i], now,
+                     config.session.include_startup_in_qoe);
     if (journal != nullptr) {
-      obs::SessionJournalEntry entry;
-      entry.session = "p" + std::to_string(i);
-      entry.algorithm = controllers[i]->name();
-      entry.chunks = session.chunks.size();
-      entry.duration_s = session.session_duration_s;
-      entry.startup_delay_s = session.startup_delay_s;
-      entry.qoe = session.qoe;
-      entry.qoe_utility = player.qoe_acc.total_quality();
-      entry.qoe_switch_penalty =
-          weights.lambda * player.qoe_acc.total_smoothness_penalty();
-      entry.qoe_rebuffer_charge =
-          weights.mu * player.qoe_acc.total_rebuffer_s() +
-          weights.mu_event *
-              static_cast<double>(player.qoe_acc.rebuffer_events());
-      entry.qoe_startup_charge = config.session.include_startup_in_qoe
-                                     ? weights.mu_startup *
-                                           player.startup_delay_s
-                                     : 0.0;
-      entry.average_bitrate_kbps = session.average_bitrate_kbps;
-      entry.rebuffer_s = session.total_rebuffer_s;
-      entry.switches = session.switch_count;
-      entry.degraded_chunks = session.degraded_chunks;
-      entry.skipped_chunks = session.skipped_chunks;
-      for (const ChunkRecord& r : session.chunks) {
-        entry.attempts += r.attempts;
-        entry.faults += r.faults;
-      }
-      journal->session(entry);
+      journal_session(*journal, "p" + std::to_string(i),
+                      controllers[i]->name(), player, qoe_acc[i], qoe,
+                      config.session.include_startup_in_qoe);
     }
-
-    average_bitrates.push_back(session.average_bitrate_kbps);
-    result.players.push_back(std::move(session));
+    average_bitrates.push_back(player.average_bitrate_kbps);
+    result.players.push_back(std::move(player));
   }
 
   result.jain_fairness = jain_index(average_bitrates);
   const double offered_kb = link.kilobits_between(0.0, busy_span_end);
-  result.link_utilization =
-      offered_kb > 0.0 ? delivered_kb / offered_kb : 0.0;
+  result.link_utilization = offered_kb > 0.0 ? delivered_kb / offered_kb : 0.0;
   registry.gauge(obs::kMultiplayerJainFairness).set(result.jain_fairness);
   registry.gauge(obs::kMultiplayerLinkUtilization)
       .set(result.link_utilization);

@@ -11,7 +11,6 @@
 
 namespace abr::obs {
 class Journal;
-class TraceWriter;
 }
 
 namespace abr::sim {
@@ -30,12 +29,6 @@ struct MultiPlayerConfig {
   /// Simulation time step. Downloads complete within one step of their true
   /// finish time; 50 ms is far below the chunk timescale (seconds).
   double time_step_s = 0.05;
-
-  /// Optional Chrome trace-event sink: each player's downloads, rebuffers,
-  /// and buffer-level counter render on their own track (tid = player
-  /// index). Per-player metrics (chunks, rebuffer seconds, labeled
-  /// player="i") go to obs::MetricsRegistry::global() when it is enabled.
-  obs::TraceWriter* trace_writer = nullptr;
 
   /// Optional fleet time-series aggregator: per-bucket QoE percentiles,
   /// rebuffer ratio, bitrate distribution, and sessions active, fed as
@@ -71,6 +64,22 @@ struct MultiPlayerResult {
 /// link rather than the whole trace. Controllers therefore see the biased,
 /// competition-dependent throughput samples that make this setting hard
 /// (the "downward spiral" of Huang et al.).
+///
+/// The simulator holds the per-player hot state (buffer level, playback,
+/// bytes remaining, stall) in parallel contiguous vectors and schedules
+/// joins and buffer-full waits on a binary heap:
+///
+///  - the per-tick advance is one pass over the *downloading* players'
+///    contiguous state, not a scan of every player ever created;
+///  - ticks where nobody is downloading cost O(1) (a heap peek), and
+///    waiting and finished players are never touched.
+///
+/// One box can therefore soak-test 1M+ concurrent sessions (bench/
+/// fleet_bench drives exactly that). Per-player metrics (chunks, rebuffer
+/// seconds, labeled player="i") and the tick wall time
+/// (abr_fleet_step_latency_us) go to obs::MetricsRegistry::global() when it
+/// is enabled. testing::InvariantChecker::check_shared_link holds the
+/// model: Eqs. (1)-(5) per player, capacity conservation, equal split.
 ///
 /// controllers/predictors must each have exactly one entry per player and
 /// outlive the call.

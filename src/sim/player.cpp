@@ -6,10 +6,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/trace_event.hpp"
+#include "sim/session_log.hpp"
 
 namespace abr::sim {
 
@@ -74,15 +74,9 @@ SessionResult PlayerSession::run(ChunkSource& source,
   bool playback_start_emitted = false;
 
   qoe::QoeModel::Accumulator qoe_acc(*qoe_);
-
-  // Journal attribution state: mirrors the Accumulator's smoothness memory
-  // so per-chunk charges sum exactly to the session totals.
+  QoeAttribution attribution;
   obs::Journal* journal = config_.journal;
-  const qoe::QoeWeights& weights = qoe_->weights();
   const std::string algorithm_name = controller.name();
-  double journal_prev_quality = 0.0;
-  bool journal_has_prev = false;
-  double journal_qoe_cum = 0.0;
 
   std::vector<double> history_kbps;
   history_kbps.reserve(chunk_count);
@@ -426,54 +420,9 @@ SessionResult PlayerSession::run(ChunkSource& source,
 
     qoe_acc.add_chunk(record.bitrate_kbps, rebuffer_s);
     if (journal != nullptr) {
-      // Per-chunk Eq. (5) attribution with the exact Accumulator semantics:
-      // skipped chunks contribute q(0), transitions through 0 count as
-      // switches, and every stalled chunk pays the per-event charge.
-      const double q = qoe_->quality(record.bitrate_kbps);
-      const double switch_penalty =
-          journal_has_prev ? weights.lambda * std::abs(q - journal_prev_quality)
-                           : 0.0;
-      const double rebuffer_charge =
-          weights.mu * rebuffer_s + (rebuffer_s > 0.0 ? weights.mu_event : 0.0);
-      const double qoe_chunk = q - switch_penalty - rebuffer_charge;
-      journal_prev_quality = q;
-      journal_has_prev = true;
-      journal_qoe_cum += qoe_chunk;
-
-      obs::ChunkJournalEntry entry;
-      entry.session = config_.session_label;
-      entry.algorithm = algorithm_name;
-      entry.chunk = k;
-      entry.level = level;
-      entry.t_s = record.start_s;
-      entry.bitrate_kbps = record.bitrate_kbps;
-      entry.download_s = record.download_s;
-      entry.throughput_kbps = record.throughput_kbps;
-      entry.buffer_before_s = record.buffer_before_s;
-      entry.buffer_after_s = record.buffer_after_s;
-      entry.rebuffer_s = rebuffer_s;
-      entry.wait_s = wait_s;
-      entry.qoe_utility = q;
-      entry.qoe_switch_penalty = switch_penalty;
-      entry.qoe_rebuffer_charge = rebuffer_charge;
-      entry.qoe_chunk = qoe_chunk;
-      entry.qoe_cumulative = journal_qoe_cum;
-      entry.predicted_kbps = record.predicted_kbps;
-      entry.effective_kbps = decision_telemetry.effective_forecast_kbps;
-      entry.error_window = decision_telemetry.error_window;
-      entry.nodes_expanded = decision_telemetry.nodes_expanded;
-      entry.warm_start = decision_telemetry.warm_start;
-      entry.solver_path = decision_telemetry.path;
-      entry.origin = record.origin;
-      entry.attempts = record.attempts;
-      entry.faults = record.faults;
-      entry.degraded = degraded;
-      entry.skipped = skipped;
-      entry.aborted = record.aborted;
-      entry.partial = partial;
-      entry.wasted_kb = record.wasted_kilobits;
-      entry.resumed_from_byte = record.resumed_from_byte;
-      journal->chunk(entry);
+      journal_chunk(*journal, config_.session_label, algorithm_name, record,
+                    attribution.add(*qoe_, record.bitrate_kbps, rebuffer_s),
+                    decision_telemetry);
     }
     if (!skipped) {
       // A skipped chunk yields no throughput sample and no played level:
@@ -490,75 +439,11 @@ SessionResult PlayerSession::run(ChunkSource& source,
   }
 
   sessions_total.increment();
-  result.startup_delay_s = startup_delay;
-  result.session_duration_s = source.now();
-  if (config_.include_startup_in_qoe) {
-    qoe_acc.set_startup_delay(startup_delay);
-  }
-  result.total_rebuffer_s = qoe_acc.total_rebuffer_s();
-  result.qoe = qoe_acc.total();
-
-  // Aggregates.
-  double bitrate_sum = 0.0;
-  double change_sum = 0.0;
-  double wait_sum = 0.0;
-  std::size_t stalled_chunks = 0;
-  for (std::size_t k = 0; k < result.chunks.size(); ++k) {
-    const ChunkRecord& r = result.chunks[k];
-    bitrate_sum += r.bitrate_kbps;
-    wait_sum += r.wait_s;
-    if (r.rebuffer_s > 0.0) ++stalled_chunks;
-    if (r.degraded) ++result.degraded_chunks;
-    if (r.skipped) ++result.skipped_chunks;
-    if (r.aborted) ++result.aborted_chunks;
-    if (r.partial) ++result.partial_chunks;
-    result.resume_count += r.resumes;
-    result.wasted_kilobits += r.wasted_kilobits;
-    result.total_attempts += r.attempts;
-    if (k > 0) {
-      const double delta =
-          std::abs(r.bitrate_kbps - result.chunks[k - 1].bitrate_kbps);
-      change_sum += delta;
-      if (delta > 0.0) ++result.switch_count;
-    }
-  }
-  const auto n = static_cast<double>(result.chunks.size());
-  result.average_bitrate_kbps = n > 0 ? bitrate_sum / n : 0.0;
-  result.average_bitrate_change_kbps =
-      result.chunks.size() > 1 ? change_sum / (n - 1.0) : 0.0;
-  result.total_wait_s = wait_sum;
-  result.rebuffer_chunk_fraction =
-      n > 0 ? static_cast<double>(stalled_chunks) / n : 0.0;
-
+  finalize_session(result, qoe_acc, startup_delay, source.now(),
+                   config_.include_startup_in_qoe);
   if (journal != nullptr) {
-    obs::SessionJournalEntry entry;
-    entry.session = config_.session_label;
-    entry.algorithm = algorithm_name;
-    entry.chunks = result.chunks.size();
-    entry.duration_s = result.session_duration_s;
-    entry.startup_delay_s = result.startup_delay_s;
-    entry.qoe = result.qoe;
-    entry.qoe_utility = qoe_acc.total_quality();
-    entry.qoe_switch_penalty =
-        weights.lambda * qoe_acc.total_smoothness_penalty();
-    entry.qoe_rebuffer_charge =
-        weights.mu * qoe_acc.total_rebuffer_s() +
-        weights.mu_event * static_cast<double>(qoe_acc.rebuffer_events());
-    entry.qoe_startup_charge = config_.include_startup_in_qoe
-                                   ? weights.mu_startup * startup_delay
-                                   : 0.0;
-    entry.average_bitrate_kbps = result.average_bitrate_kbps;
-    entry.rebuffer_s = result.total_rebuffer_s;
-    entry.switches = result.switch_count;
-    entry.degraded_chunks = result.degraded_chunks;
-    entry.skipped_chunks = result.skipped_chunks;
-    entry.attempts = result.total_attempts;
-    for (const ChunkRecord& r : result.chunks) entry.faults += r.faults;
-    entry.aborted_chunks = result.aborted_chunks;
-    entry.partial_chunks = result.partial_chunks;
-    entry.resumes = result.resume_count;
-    entry.wasted_kb = result.wasted_kilobits;
-    journal->session(entry);
+    journal_session(*journal, config_.session_label, algorithm_name, result,
+                    qoe_acc, *qoe_, config_.include_startup_in_qoe);
   }
   return result;
 }

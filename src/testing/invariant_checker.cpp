@@ -67,6 +67,11 @@ std::string InvariantReport::to_string() const {
 
 InvariantReport InvariantChecker::check_buffer_dynamics(
     const sim::SessionResult& result) const {
+  return buffer_dynamics(result, 0.0);
+}
+
+InvariantReport InvariantChecker::buffer_dynamics(
+    const sim::SessionResult& result, double join_time_s) const {
   InvariantReport report;
   Collector check(report);
   const double duration = options_.chunk_duration_s;
@@ -126,7 +131,7 @@ InvariantReport InvariantChecker::check_buffer_dynamics(
     // its completion time.
     if (!playing && !r.skipped) {
       playing = true;
-      startup_s = r.start_s + r.download_s - options_.join_time_s;
+      startup_s = r.start_s + r.download_s - join_time_s;
       started = true;
     }
 
@@ -248,7 +253,13 @@ InvariantReport InvariantChecker::check_aggregates(
 
 InvariantReport InvariantChecker::check_all(const sim::SessionResult& result,
                                             const qoe::QoeModel& model) const {
-  InvariantReport report = check_buffer_dynamics(result);
+  return session(result, model, 0.0);
+}
+
+InvariantReport InvariantChecker::session(const sim::SessionResult& result,
+                                          const qoe::QoeModel& model,
+                                          double join_time_s) const {
+  InvariantReport report = buffer_dynamics(result, join_time_s);
   InvariantReport qoe = check_qoe_conservation(result, model);
   InvariantReport agg = check_aggregates(result);
   report.violations.insert(report.violations.end(), qoe.violations.begin(),
@@ -272,71 +283,75 @@ InvariantReport InvariantChecker::check_shared_link(
   session_options.include_startup_in_qoe =
       config.session.include_startup_in_qoe;
   session_options.check_time_continuity = false;
+  const InvariantChecker player_checker(session_options);
   for (std::size_t i = 0; i < result.players.size(); ++i) {
-    session_options.join_time_s =
-        static_cast<double>(i) * config.startup_stagger_s;
-    const InvariantReport session =
-        InvariantChecker(session_options).check_all(result.players[i], model);
-    for (const std::string& v : session.violations) {
+    const InvariantReport player = player_checker.session(
+        result.players[i], model,
+        static_cast<double>(i) * config.startup_stagger_s);
+    for (const std::string& v : player.violations) {
       report.violations.push_back("player " + std::to_string(i) + ": " + v);
     }
   }
 
   // Each chunk as a run of whole ticks [first, first + count).
   struct Span {
+    const sim::ChunkRecord* record = nullptr;
+    std::size_t player = 0;
     std::size_t first = 0;
     std::size_t count = 0;
-    double size_kb = 0.0;
   };
   std::vector<Span> spans;
   std::size_t ticks = 0;
   const auto tick_of = [dt](double t) {
     return static_cast<std::size_t>(std::max(0.0, std::round(t / dt)));
   };
+  const auto flag = [&](const Span& span, const char* what) {
+    std::ostringstream os;
+    os << "player " << span.player << ": chunk " << span.record->index << ": "
+       << what;
+    report.violations.push_back(os.str());
+  };
   for (std::size_t i = 0; i < result.players.size(); ++i) {
-    const std::vector<sim::ChunkRecord>& chunks = result.players[i].chunks;
     double ready_s = static_cast<double>(i) * config.startup_stagger_s;
-    for (std::size_t k = 0; k < chunks.size(); ++k) {
-      const sim::ChunkRecord& r = chunks[k];
-      const std::string where = "player " + std::to_string(i) + " chunk " +
-                                std::to_string(k) + ": ";
+    for (const sim::ChunkRecord& r : result.players[i].chunks) {
+      Span span{&r, i, tick_of(r.start_s),
+                std::max<std::size_t>(1, tick_of(r.download_s))};
       if (r.start_s < ready_s - tol || r.start_s >= ready_s + dt + tol) {
-        report.violations.push_back(
-            where + "start_s not within one tick of join or previous wait");
+        flag(span, "start_s not within one tick of join or previous wait");
       }
-      Span span;
-      span.first = tick_of(r.start_s);
-      span.count = std::max<std::size_t>(1, tick_of(r.download_s));
-      span.size_kb = r.size_kilobits;
-      if (!check.near(r.start_s, static_cast<double>(span.first) * dt,
-                      tol * std::max(1.0, r.start_s / dt)) ||
-          !check.near(r.download_s, static_cast<double>(span.count) * dt,
-                      tol * static_cast<double>(span.count))) {
-        report.violations.push_back(where + "download is not whole ticks");
-      }
-      spans.push_back(span);
-      ticks = std::max(ticks, span.first + span.count);
       ready_s = r.start_s + r.download_s + r.wait_s;
+      ticks = std::max(ticks, span.first + span.count);
+      spans.push_back(span);
     }
   }
 
   // Tick times are accumulated exactly as the simulator's clock is.
-  std::vector<double> tick_s(ticks);
-  std::vector<double> capacity_kb(ticks);
+  std::vector<double> tick_s(ticks + 1);
   double now = 0.0;
-  for (std::size_t t = 0; t < ticks; ++t) {
-    tick_s[t] = now;
+  for (double& t : tick_s) {
+    t = now;
     now += dt;
   }
-  std::vector<std::size_t> active(ticks + 1, 0);
+  std::vector<std::ptrdiff_t> starts_minus_ends(ticks + 1, 0);
   for (const Span& span : spans) {
-    ++active[span.first];
-    --active[span.first + span.count];
+    const sim::ChunkRecord& r = *span.record;
+    if (!check.near(r.start_s, tick_s[span.first], tol) ||
+        !check.near(r.start_s + r.download_s,
+                    tick_s[span.first + span.count], tol)) {
+      flag(span, "download is not whole ticks");
+    }
+    ++starts_minus_ends[span.first];
+    --starts_minus_ends[span.first + span.count];
   }
+  std::vector<std::size_t> active(ticks, 0);
+  std::vector<double> capacity_kb(ticks, 0.0);
+  std::ptrdiff_t running = 0;
   for (std::size_t t = 0; t < ticks; ++t) {
-    if (t > 0) active[t] += active[t - 1];
-    capacity_kb[t] =
-        active[t] > 0 ? link.kilobits_between(tick_s[t], tick_s[t] + dt) : 0.0;
+    running += starts_minus_ends[t];
+    active[t] = static_cast<std::size_t>(running);
+    if (active[t] > 0) {
+      capacity_kb[t] = link.kilobits_between(tick_s[t], tick_s[t] + dt);
+    }
   }
   const auto share = [&](std::size_t t) {
     return capacity_kb[t] / static_cast<double>(active[t]);
@@ -346,19 +361,20 @@ InvariantReport InvariantChecker::check_shared_link(
   std::vector<double> finishing_kb(ticks, 0.0);
   std::vector<std::size_t> finishing(ticks, 0);
   for (const Span& span : spans) {
+    const double size_kb = span.record->size_kilobits;
     double before_last = 0.0;
     const std::size_t last = span.first + span.count - 1;
     for (std::size_t t = span.first; t < last; ++t) before_last += share(t);
-    const double eps = tol * std::max(1.0, span.size_kb);
-    if (before_last >= span.size_kb + eps ||
-        before_last + share(last) < span.size_kb - eps) {
+    const double eps = tol * std::max(1.0, size_kb);
+    if (before_last >= size_kb + eps ||
+        before_last + share(last) < size_kb - eps) {
       std::ostringstream os;
-      os << "tick " << last << ": chunk of " << span.size_kb
-         << " kb is not the equal split (shares before last tick "
-         << before_last << ", with it " << before_last + share(last) << ")";
-      report.violations.push_back(os.str());
+      os << "not the equal split: " << size_kb << " kb, shares "
+         << before_last << " kb before tick " << last << " and "
+         << before_last + share(last) << " kb with it";
+      flag(span, os.str().c_str());
     }
-    finishing_kb[last] += span.size_kb - before_last;
+    finishing_kb[last] += size_kb - before_last;
     ++finishing[last];
   }
 

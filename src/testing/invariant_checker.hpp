@@ -31,10 +31,6 @@ struct InvariantOptions {
   /// single-session source (virtual-time sim, FaultySource wrappers).
   bool check_time_continuity = true;
 
-  /// Session clock origin: startup_delay_s is measured from here. A
-  /// shared-link player joins at i * startup_stagger_s, not at 0.
-  double join_time_s = 0.0;
-
   double tolerance = 1e-9;      ///< absolute, for buffer/time quantities
   double qoe_tolerance = 1e-6;  ///< absolute, for the Eq. (5) conservation
 };
@@ -113,6 +109,14 @@ class InvariantChecker {
   const InvariantOptions& options() const { return options_; }
 
  private:
+  // The checks above for a session whose clock starts at `join_time_s`
+  // (startup_delay_s is measured from there).
+  InvariantReport buffer_dynamics(const sim::SessionResult& result,
+                                  double join_time_s) const;
+  InvariantReport session(const sim::SessionResult& result,
+                          const qoe::QoeModel& model,
+                          double join_time_s) const;
+
   InvariantOptions options_;
 };
 

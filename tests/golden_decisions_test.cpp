@@ -28,7 +28,6 @@
 #include "core/rate_based.hpp"
 #include "obs/journal.hpp"
 #include "sim/chunk_source.hpp"
-#include "sim/fleet_engine.hpp"
 #include "sim/fleet_series.hpp"
 #include "sim/multiplayer.hpp"
 #include "sim/player.hpp"
@@ -84,12 +83,10 @@ std::string serialize(const char* algorithm, const char* trace_key,
 }
 
 /// Compares `actual` with the committed golden file `name` under
-/// tests/golden/, or rewrites the file when ABR_UPDATE_GOLDEN is set and
-/// `writer` is true.
-void expect_golden(const std::string& name, const std::string& actual,
-                   bool writer = true) {
+/// tests/golden/, or rewrites the file when ABR_UPDATE_GOLDEN is set.
+void expect_golden(const std::string& name, const std::string& actual) {
   const std::string path = std::string(ABR_GOLDEN_DIR) + "/" + name;
-  if (writer && std::getenv("ABR_UPDATE_GOLDEN") != nullptr) {
+  if (std::getenv("ABR_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << actual;
@@ -179,16 +176,6 @@ TEST(GoldenDecisions, BolaUnderFaultsIsBitExact) {
 
 // --- Shared link ------------------------------------------------------------
 
-using SharedLinkEngine = sim::MultiPlayerResult (*)(
-    const trace::ThroughputTrace&, const media::VideoManifest&,
-    const qoe::QoeModel&, const sim::MultiPlayerConfig&,
-    std::span<sim::BitrateController* const>,
-    std::span<predict::ThroughputPredictor* const>);
-
-/// The reference engine writes the goldens; every engine must match them.
-const SharedLinkEngine kSharedLinkEngines[] = {&sim::simulate_shared_link,
-                                               &sim::simulate_shared_link_soa};
-
 /// One line per chunk, then one per player and one for the link.
 std::string serialize_chunks(const char* key,
                              const sim::MultiPlayerResult& result) {
@@ -264,35 +251,32 @@ TEST(GoldenSharedLink, HeterogeneousMarkovThreePlayers) {
   util::Rng rng(3);
   const auto link = trace::MarkovConfig{}.generate(rng, 600.0).scaled(2.0);
 
-  for (const SharedLinkEngine engine : kSharedLinkEngines) {
-    const bool writer = engine == kSharedLinkEngines[0];
-    core::RateBasedController rb;
-    core::BufferBasedController bb;
-    core::FestiveController festive;
-    predict::HarmonicMeanPredictor hm1(5);
-    predict::HarmonicMeanPredictor hm2(5);
-    predict::HarmonicMeanPredictor hm3(5);
-    sim::BitrateController* controllers[] = {&rb, &bb, &festive};
-    predict::ThroughputPredictor* predictors[] = {&hm1, &hm2, &hm3};
-    std::ostringstream journal_out;
-    obs::Journal journal(journal_out);
-    sim::FleetSeriesConfig fleet_config;
-    fleet_config.chunk_duration_s = manifest.chunk_duration_s();
-    sim::FleetSeries fleet(fleet_config);
-    sim::MultiPlayerConfig config;
-    config.startup_stagger_s = 1.5;
-    config.journal = &journal;
-    config.fleet = &fleet;
-    const sim::MultiPlayerResult result =
-        engine(link, manifest, qoe, config, std::span(controllers, 3),
-               std::span(predictors, 3));
-    journal.flush();
+  core::RateBasedController rb;
+  core::BufferBasedController bb;
+  core::FestiveController festive;
+  predict::HarmonicMeanPredictor hm1(5);
+  predict::HarmonicMeanPredictor hm2(5);
+  predict::HarmonicMeanPredictor hm3(5);
+  sim::BitrateController* controllers[] = {&rb, &bb, &festive};
+  predict::ThroughputPredictor* predictors[] = {&hm1, &hm2, &hm3};
+  std::ostringstream journal_out;
+  obs::Journal journal(journal_out);
+  sim::FleetSeriesConfig fleet_config;
+  fleet_config.chunk_duration_s = manifest.chunk_duration_s();
+  sim::FleetSeries fleet(fleet_config);
+  sim::MultiPlayerConfig config;
+  config.startup_stagger_s = 1.5;
+  config.journal = &journal;
+  config.fleet = &fleet;
+  const sim::MultiPlayerResult result = sim::simulate_shared_link(
+      link, manifest, qoe, config, std::span(controllers, 3),
+      std::span(predictors, 3));
+  journal.flush();
 
-    expect_golden("shared_markov3.txt", serialize_chunks("markov3", result), writer);
-    expect_golden("shared_markov3_journal.jsonl", journal_out.str(), writer);
-    expect_golden("shared_markov3_fleet.json", fleet.to_json() + "\n", writer);
-    expect_shared_link_invariants(result, link, manifest, qoe, config);
-  }
+  expect_golden("shared_markov3.txt", serialize_chunks("markov3", result));
+  expect_golden("shared_markov3_journal.jsonl", journal_out.str());
+  expect_golden("shared_markov3_fleet.json", fleet.to_json() + "\n");
+  expect_shared_link_invariants(result, link, manifest, qoe, config);
 }
 
 // A fleet-scale population: staggered joins, mixed fixed rungs, and a link
@@ -304,31 +288,27 @@ TEST(GoldenSharedLink, FixedRungs256Players) {
   const auto link =
       trace::ThroughputTrace::constant(400.0 * static_cast<double>(n), 1000.0);
 
-  for (const SharedLinkEngine engine : kSharedLinkEngines) {
-    const bool writer = engine == kSharedLinkEngines[0];
-    std::vector<std::unique_ptr<abr::testing::FixedLevelController>> owned_c;
-    std::vector<std::unique_ptr<abr::testing::ConstantPredictor>> owned_p;
-    std::vector<sim::BitrateController*> controllers;
-    std::vector<predict::ThroughputPredictor*> predictors;
-    for (std::size_t i = 0; i < n; ++i) {
-      owned_c.push_back(
-          std::make_unique<abr::testing::FixedLevelController>(i % 3));
-      owned_p.push_back(
-          std::make_unique<abr::testing::ConstantPredictor>(400.0));
-      controllers.push_back(owned_c.back().get());
-      predictors.push_back(owned_p.back().get());
-    }
-    sim::MultiPlayerConfig config;
-    config.startup_stagger_s = 0.1;
-    const sim::MultiPlayerResult result = engine(
-        link, manifest, qoe, config,
-        std::span<sim::BitrateController* const>(controllers),
-        std::span<predict::ThroughputPredictor* const>(predictors));
-
-    expect_golden("shared_fixed256.txt",
-                  serialize_sessions("fixed256", result), writer);
-    expect_shared_link_invariants(result, link, manifest, qoe, config);
+  std::vector<std::unique_ptr<abr::testing::FixedLevelController>> owned_c;
+  std::vector<std::unique_ptr<abr::testing::ConstantPredictor>> owned_p;
+  std::vector<sim::BitrateController*> controllers;
+  std::vector<predict::ThroughputPredictor*> predictors;
+  for (std::size_t i = 0; i < n; ++i) {
+    owned_c.push_back(
+        std::make_unique<abr::testing::FixedLevelController>(i % 3));
+    owned_p.push_back(
+        std::make_unique<abr::testing::ConstantPredictor>(400.0));
+    controllers.push_back(owned_c.back().get());
+    predictors.push_back(owned_p.back().get());
   }
+  sim::MultiPlayerConfig config;
+  config.startup_stagger_s = 0.1;
+  const sim::MultiPlayerResult result = sim::simulate_shared_link(
+      link, manifest, qoe, config,
+      std::span<sim::BitrateController* const>(controllers),
+      std::span<predict::ThroughputPredictor* const>(predictors));
+
+  expect_golden("shared_fixed256.txt", serialize_sessions("fixed256", result));
+  expect_shared_link_invariants(result, link, manifest, qoe, config);
 }
 
 // The paper's controller under contention: eight RobustMPC players share the
@@ -339,29 +319,25 @@ TEST(GoldenSharedLink, RobustMpcEightPlayersOnFcc7) {
   const auto qoe = abr::testing::balanced_qoe();
   const trace::ThroughputTrace link = golden_traces()[1].trace.scaled(8.0);
 
-  for (const SharedLinkEngine engine : kSharedLinkEngines) {
-    const bool writer = engine == kSharedLinkEngines[0];
-    std::vector<core::AlgorithmInstance> instances;
-    std::vector<sim::BitrateController*> controllers;
-    std::vector<predict::ThroughputPredictor*> predictors;
-    for (std::size_t i = 0; i < 8; ++i) {
-      instances.push_back(
-          core::make_algorithm(core::Algorithm::kRobustMpc, manifest, qoe));
-      controllers.push_back(instances.back().controller.get());
-      predictors.push_back(instances.back().predictor.get());
-    }
-    sim::MultiPlayerConfig config;
-    config.startup_stagger_s = 2.0;
-    const sim::MultiPlayerResult result = engine(
-        link, manifest, qoe, config,
-        std::span<sim::BitrateController* const>(controllers),
-        std::span<predict::ThroughputPredictor* const>(predictors));
-
-    expect_golden("shared_robustmpc8_fcc7.txt",
-                  serialize_chunks("robustmpc8_fcc7", result),
-                  writer);
-    expect_shared_link_invariants(result, link, manifest, qoe, config);
+  std::vector<core::AlgorithmInstance> instances;
+  std::vector<sim::BitrateController*> controllers;
+  std::vector<predict::ThroughputPredictor*> predictors;
+  for (std::size_t i = 0; i < 8; ++i) {
+    instances.push_back(
+        core::make_algorithm(core::Algorithm::kRobustMpc, manifest, qoe));
+    controllers.push_back(instances.back().controller.get());
+    predictors.push_back(instances.back().predictor.get());
   }
+  sim::MultiPlayerConfig config;
+  config.startup_stagger_s = 2.0;
+  const sim::MultiPlayerResult result = sim::simulate_shared_link(
+      link, manifest, qoe, config,
+      std::span<sim::BitrateController* const>(controllers),
+      std::span<predict::ThroughputPredictor* const>(predictors));
+
+  expect_golden("shared_robustmpc8_fcc7.txt",
+                serialize_chunks("robustmpc8_fcc7", result));
+  expect_shared_link_invariants(result, link, manifest, qoe, config);
 }
 
 }  // namespace

@@ -136,7 +136,8 @@ TEST(InvariantChecker, CheckAllConcatenatesViolations) {
 struct SharedFixture {
   media::VideoManifest manifest = small_manifest();
   qoe::QoeModel model = balanced_qoe();
-  trace::ThroughputTrace link = trace::ThroughputTrace::constant(2400.0, 1000.0);
+  trace::ThroughputTrace link =
+      trace::ThroughputTrace::constant(2400.0, 1000.0);
   sim::MultiPlayerConfig config;
 
   sim::MultiPlayerResult run() const {
@@ -179,7 +180,7 @@ TEST(SharedLinkInvariants, ChunkOverItsEqualShareIsFlagged) {
   result.players[1].chunks[0].size_kilobits -= 30.0;
 
   const InvariantReport report = fx.check(result);
-  EXPECT_TRUE(mentions(report, "equal split")) << report.to_string();
+  EXPECT_TRUE(mentions(report, "not the equal split")) << report.to_string();
   EXPECT_FALSE(mentions(report, "over link capacity")) << report.to_string();
   EXPECT_EQ(report.violations.size(), 1u) << report.to_string();
 }
