@@ -80,18 +80,19 @@ class HttpChunkSource final : public sim::ChunkSource {
                   std::uint64_t jitter_seed = 0x5eedULL,
                   FailoverOptions failover = {});
 
-  sim::FetchOutcome fetch(std::size_t chunk, std::size_t level) override;
-
-  /// Sub-chunk transfer over real HTTP: a resume credit turns into a
-  /// "Range: bytes=N-" request (206 verified against Content-Range; a 416
-  /// at a full offset means the chunk is already complete), and the abort
-  /// monitor runs as a wall-clock watchdog thread that cancels the in-flight
-  /// request via HttpClient::abort() when the projected completion implies a
-  /// stall. Self-inflicted aborts are never reported to the circuit breaker
-  /// and are not counted as attempt failures. Hedged startup is bypassed in
-  /// controlled mode (an aborted hedge is indistinguishable from a loss).
-  sim::FetchOutcome fetch_controlled(std::size_t chunk, std::size_t level,
-                                     const sim::FetchControl& control) override;
+  /// One retry/failover loop over single GET attempts. A resume credit turns
+  /// into a "Range: bytes=N-" request (206 verified against Content-Range; a
+  /// 416 at a full offset means the chunk is already complete). Without
+  /// keep_prefix a truncated body is discarded and the next attempt
+  /// refetches from the credit; with it the landed prefix is resumed. The
+  /// abort monitor runs as a wall-clock watchdog thread that cancels the
+  /// in-flight request via HttpClient::abort() when the projected
+  /// completion implies a stall. Self-inflicted aborts are never reported to
+  /// the circuit breaker and are not counted as attempt failures. Hedged
+  /// startup races only calls without keep_prefix (an aborted hedge is
+  /// indistinguishable from a loss).
+  sim::FetchOutcome fetch(std::size_t chunk, std::size_t level,
+                          const sim::FetchControl& control) override;
   bool supports_range() const override { return true; }
   void wait(double seconds) override;
   double now() const override;
@@ -107,21 +108,15 @@ class HttpChunkSource final : public sim::ChunkSource {
   std::size_t hedge_wins() const { return hedge_wins_; }
 
  private:
-  /// One GET of `target` against `origin`; returns delivered kilobits or
-  /// nullopt on any retryable failure. Throws on 3xx/4xx (config bug).
-  std::optional<double> attempt(std::size_t origin, const std::string& target);
-
-  sim::FetchOutcome fetch_with_retries(const std::string& target,
-                                       double start_session_s,
-                                       std::size_t burned_attempts);
-
-  /// Races `target` against the preferred origin and a hedge target.
-  /// Returns the winning outcome, or nullopt when no second healthy origin
-  /// exists or both legs failed (the caller falls back to the retry loop;
-  /// `burned` reports attempts consumed here).
-  std::optional<sim::FetchOutcome> try_hedged_fetch(const std::string& target,
-                                                    double start_session_s,
-                                                    std::size_t& burned);
+  /// Races `target` against the preferred origin and a hedge target, both
+  /// legs resuming from `have_bytes`. Returns the winning leg's body size,
+  /// or nullopt when no second healthy origin exists or both legs failed
+  /// (the caller falls back to the retry loop). Adds the attempts it
+  /// consumed to `burned`.
+  std::optional<std::size_t> try_hedged_fetch(const std::string& target,
+                                              std::size_t have_bytes,
+                                              std::size_t total_bytes,
+                                              std::size_t& burned);
 
   std::vector<OriginEndpoint> origins_;
   std::vector<std::unique_ptr<HttpClient>> clients_;

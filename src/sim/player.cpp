@@ -162,12 +162,19 @@ SessionResult PlayerSession::run(ChunkSource& source,
       decision_telemetry = *t;
     }
 
-    // 3. Download.
+    // 3. Download. One transfer loop serves both delivery modes. Without an
+    // active abort policy it is the paper's whole-chunk fetch: a failed
+    // transfer keeps no prefix, so the loop falls back to the lowest rung
+    // (graceful degradation) and then skips. With one, every transfer runs
+    // under the deadline monitor: on abort the controller re-decides at a
+    // strictly lower rung and the next transfer range-resumes from the
+    // delivered prefix (prefixes are assumed aligned across the ladder, so
+    // the credit is re-expressed as the same fraction of the new rung's
+    // size — DESIGN §12). A failure at the last rung with a delivered prefix
+    // becomes a partial chunk: the prefix plays, only the missing suffix is
+    // charged as a stall.
     ChunkRecord record;
     record.index = k;
-    record.level = level;
-    record.bitrate_kbps = manifest.bitrate_kbps(level);
-    record.size_kilobits = manifest.chunk_kilobits(k, level);
     record.start_s = now;
     record.buffer_before_s = buffer_s;
     record.predicted_kbps = predictions.empty() ? 0.0 : predictions.front();
@@ -175,110 +182,78 @@ SessionResult PlayerSession::run(ChunkSource& source,
     const bool abort_active =
         config_.abort_policy.enabled && source.supports_range();
     FetchOutcome outcome;
+    outcome.attempts = 0;
     bool degraded = false;
     bool partial = false;
     double played_fraction = 1.0;
-    if (!abort_active) {
-      outcome = source.fetch(k, level);
-      if (outcome.failed && config_.degrade_on_failure && level != 0) {
-        // Graceful degradation: the chosen level failed every attempt, so
-        // fall back to the lowest rung before giving up on the chunk.
+    double fraction_done = 0.0;   // delivered fraction of the chunk
+    double elapsed = 0.0;
+    double transferred_kb = 0.0;  // every bit that flowed, waste included
+    for (;;) {
+      const double size_kb = manifest.chunk_kilobits(k, level);
+      FetchControl control;
+      control.resume_from_kilobits = fraction_done * size_kb;
+      control.keep_prefix = abort_active;
+      control.abort_enabled = abort_active && playing && level > 0;
+      control.buffer_s = std::max(0.0, buffer_s - elapsed);
+      control.max_stall_s = config_.abort_policy.max_stall_s;
+      control.min_observation_s = config_.abort_policy.min_observation_s;
+      control.check_interval_s = config_.abort_policy.check_interval_s;
+      if (control.resume_from_kilobits > 0.0) {
+        record.resumed_from_byte = static_cast<std::size_t>(
+            std::llround(control.resume_from_kilobits * 125.0));
+      }
+      const FetchOutcome att = source.fetch(k, level, control);
+      elapsed += att.duration_s;
+      transferred_kb += att.kilobits;
+      outcome.attempts += att.attempts;
+      outcome.faults += att.faults;
+      outcome.origin = att.origin;
+      record.resumes += att.resumes;
+      fraction_done = size_kb > 0.0
+                          ? std::min(att.delivered_kilobits / size_kb, 1.0)
+                          : 1.0;
+      if (att.aborted) {
+        record.aborted = true;
+        // Re-decide with the post-abort buffer; mid-chunk the throughput
+        // history is unchanged, so the forecast vector is reused.
+        AbrState restate = state;
+        restate.buffer_s = std::max(0.0, buffer_s - elapsed);
+        restate.now_s = source.now();
+        const std::size_t next_level =
+            std::min(timed_decide(restate), level - 1);
+        record.wasted_kilobits +=
+            att.delivered_kilobits -
+            fraction_done * manifest.chunk_kilobits(k, next_level);
+        level = next_level;
+        continue;
+      }
+      if (att.failed && config_.degrade_on_failure && level != 0) {
         degraded = true;
+        record.wasted_kilobits += att.delivered_kilobits -
+                                  fraction_done * manifest.chunk_kilobits(k, 0);
         level = 0;
-        record.level = 0;
-        record.bitrate_kbps = manifest.bitrate_kbps(0);
-        record.size_kilobits = manifest.chunk_kilobits(k, 0);
-        FetchOutcome fallback = source.fetch(k, 0);
-        fallback.duration_s += outcome.duration_s;
-        fallback.attempts += outcome.attempts;
-        fallback.faults += outcome.faults;
-        outcome = fallback;
+        continue;
       }
-    } else {
-      // Sub-chunk delivery: the transfer runs under the deadline monitor.
-      // On abort the controller re-decides at a strictly lower rung and the
-      // next transfer range-resumes from the delivered prefix (prefixes are
-      // assumed aligned across the ladder, so the credit is re-expressed as
-      // the same fraction of the new rung's size — DESIGN §12). A failure
-      // at the last rung with a delivered prefix becomes a partial chunk:
-      // the prefix plays, only the missing suffix is charged as a stall.
-      const double buffer_at_start = buffer_s;
-      std::size_t cur_level = level;
-      double fraction_done = 0.0;   // delivered fraction of the chunk
-      double elapsed = 0.0;
-      double transferred_kb = 0.0;  // every bit that flowed, waste included
-      outcome.attempts = 0;
-      for (;;) {
-        const double size_kb = manifest.chunk_kilobits(k, cur_level);
-        FetchControl control;
-        control.resume_from_kilobits = fraction_done * size_kb;
-        control.abort_enabled = playing && cur_level > 0;
-        control.buffer_s = std::max(0.0, buffer_at_start - elapsed);
-        control.max_stall_s = config_.abort_policy.max_stall_s;
-        control.min_observation_s = config_.abort_policy.min_observation_s;
-        control.check_interval_s = config_.abort_policy.check_interval_s;
-        if (control.resume_from_kilobits > 0.0) {
-          record.resumed_from_byte = static_cast<std::size_t>(
-              std::llround(control.resume_from_kilobits * 125.0));
-        }
-        const FetchOutcome att = source.fetch_controlled(k, cur_level, control);
-        elapsed += att.duration_s;
-        transferred_kb += att.kilobits;
-        outcome.attempts += att.attempts;
-        outcome.faults += att.faults;
-        outcome.origin = att.origin;
-        record.resumes += att.resumes;
-        fraction_done = size_kb > 0.0
-                            ? std::min(att.delivered_kilobits / size_kb, 1.0)
-                            : 1.0;
-        if (att.aborted) {
-          record.aborted = true;
-          // Re-decide with the post-abort buffer; mid-chunk the throughput
-          // history is unchanged, so the forecast vector is reused.
-          AbrState restate = state;
-          restate.buffer_s = std::max(0.0, buffer_at_start - elapsed);
-          restate.now_s = source.now();
-          const std::size_t decided = timed_decide(restate);
-          const std::size_t next_level = std::min(decided, cur_level - 1);
-          record.wasted_kilobits +=
-              att.delivered_kilobits -
-              fraction_done * manifest.chunk_kilobits(k, next_level);
-          cur_level = next_level;
-          continue;
-        }
-        if (att.failed) {
-          if (config_.degrade_on_failure && cur_level != 0) {
-            degraded = true;
-            record.wasted_kilobits +=
-                att.delivered_kilobits -
-                fraction_done * manifest.chunk_kilobits(k, 0);
-            cur_level = 0;
-            continue;
-          }
-          outcome.failed = true;
-          break;
-        }
-        break;  // delivered in full
-      }
-      outcome.duration_s = std::max(elapsed, 1e-9);
-      outcome.kilobits = transferred_kb;
-      level = cur_level;
-      record.level = cur_level;
-      record.bitrate_kbps = manifest.bitrate_kbps(cur_level);
-      record.size_kilobits =
-          fraction_done * manifest.chunk_kilobits(k, cur_level);
-      if (outcome.failed && fraction_done > 0.0) {
-        // Third degradation rung: play the delivered prefix.
-        partial = true;
-        played_fraction = fraction_done;
-        outcome.failed = false;
-      }
-      if (record.aborted || partial) {
-        // The re-decide (or the truncation) may have changed the solver
-        // telemetry; snapshot the final state for the journal.
-        if (const DecisionTelemetry* t = controller.last_decision()) {
-          decision_telemetry = *t;
-        }
+      outcome.failed = att.failed;
+      break;
+    }
+    outcome.duration_s = std::max(elapsed, 1e-9);
+    outcome.kilobits = transferred_kb;
+    record.level = level;
+    record.bitrate_kbps = manifest.bitrate_kbps(level);
+    record.size_kilobits = fraction_done * manifest.chunk_kilobits(k, level);
+    if (outcome.failed && fraction_done > 0.0) {
+      // Third degradation rung: play the delivered prefix.
+      partial = true;
+      played_fraction = fraction_done;
+      outcome.failed = false;
+    }
+    if (record.aborted || partial) {
+      // The re-decide (or the truncation) may have changed the solver
+      // telemetry; snapshot the final state for the journal.
+      if (const DecisionTelemetry* t = controller.last_decision()) {
+        decision_telemetry = *t;
       }
     }
     const bool skipped = outcome.failed;

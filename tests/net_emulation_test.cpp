@@ -79,7 +79,7 @@ TEST(HttpChunkSource, FetchesAndMeasures) {
 
   // Chunk at level 2 = 6000 kb over a 3000 kbps shaped link: ~2 s of
   // session time.
-  const sim::FetchOutcome outcome = source.fetch(0, 2);
+  const sim::FetchOutcome outcome = source.fetch(0, 2, {});
   EXPECT_NEAR(outcome.kilobits, 6000.0, 1.0);
   EXPECT_GT(outcome.duration_s, 1.0);
   EXPECT_LT(outcome.duration_s, 4.0);

@@ -342,7 +342,7 @@ TEST(SimulatedOrigin, PermanentOutageOfAllOriginsStillTerminates) {
   options.origins = 2;
   options.breaker = fast_breaker();
   SimulatedOriginSource source(trace, manifest, script, options);
-  const sim::FetchOutcome outcome = source.fetch(0, 0);
+  const sim::FetchOutcome outcome = source.fetch(0, 0, {});
   EXPECT_TRUE(outcome.failed);
   EXPECT_GE(outcome.attempts, 1u);
 }
@@ -452,7 +452,7 @@ TEST(HedgedFetch, SecondaryWinsAgainstStuckPrimaryWithoutWaitingForTimeout) {
       speedup, retry, /*jitter_seed=*/0x5eedULL, failover);
 
   const auto start = Clock::now();
-  const sim::FetchOutcome outcome = source.fetch(0, 0);
+  const sim::FetchOutcome outcome = source.fetch(0, 0, {});
   EXPECT_FALSE(outcome.failed);
   EXPECT_EQ(outcome.origin, 1u);
   EXPECT_EQ(source.hedges_launched(), 1u);
@@ -463,7 +463,7 @@ TEST(HedgedFetch, SecondaryWinsAgainstStuckPrimaryWithoutWaitingForTimeout) {
 
   // Later chunks are past the hedge window: served normally (by whichever
   // origin the pool now prefers — the healthy one).
-  const sim::FetchOutcome later = source.fetch(1, 0);
+  const sim::FetchOutcome later = source.fetch(1, 0, {});
   EXPECT_FALSE(later.failed);
   EXPECT_EQ(source.hedges_launched(), 1u);
 }
@@ -487,7 +487,7 @@ TEST(HedgedFetch, PrimaryWinsWhenBothHealthy) {
       {{"127.0.0.1", origin_a.port()}, {"127.0.0.1", origin_b.port()}},
       manifest, speedup, retry, /*jitter_seed=*/0x5eedULL, failover);
 
-  const sim::FetchOutcome outcome = source.fetch(0, 0);
+  const sim::FetchOutcome outcome = source.fetch(0, 0, {});
   EXPECT_FALSE(outcome.failed);
   EXPECT_GT(outcome.kilobits, 0.0);
   // Both origins are healthy and the pool stays fully closed: neither

@@ -113,7 +113,7 @@ TEST(SilentOrigin, ChunkSourceExhaustsRetriesAndReportsFailure) {
   HttpChunkSource source("127.0.0.1", server.port(), manifest,
                          /*speedup=*/50.0, retry);
   const auto start = Clock::now();
-  const sim::FetchOutcome outcome = source.fetch(0, 0);
+  const sim::FetchOutcome outcome = source.fetch(0, 0, {});
   EXPECT_LT(seconds_since(start), 10.0);
   EXPECT_TRUE(outcome.failed);
   EXPECT_EQ(outcome.attempts, 2u);
@@ -134,7 +134,8 @@ struct InjectionFixture {
 
   sim::FetchOutcome fetch_with_plan(const testing::FaultPlan& plan,
                                     std::size_t chunk, std::size_t level,
-                                    std::size_t* injected = nullptr) {
+                                    std::size_t* injected = nullptr,
+                                    const sim::FetchControl& control = {}) {
     const double speedup = 100.0;
     ChunkServer server(manifest, trace, speedup);
     FaultInjector injector(plan);
@@ -145,7 +146,7 @@ struct InjectionFixture {
     retry.request_timeout_ms = 2000;
     HttpChunkSource source("127.0.0.1", server.port(), manifest, speedup,
                            retry);
-    const sim::FetchOutcome outcome = source.fetch(chunk, level);
+    const sim::FetchOutcome outcome = source.fetch(chunk, level, control);
     server.stop();
     if (injected != nullptr) *injected = injector.injected();
     return outcome;
@@ -179,15 +180,41 @@ TEST(ChunkServerInjection, ConnectionResetIsRetriedThenServed) {
 }
 
 TEST(ChunkServerInjection, TruncatedBodyIsRetriedThenServed) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.set_enabled(true);
   InjectionFixture fx;
   testing::FaultPlan plan;
   plan.partial_rate = 1.0;
   plan.max_faulty_attempts = 1;
-  const auto outcome = fx.fetch_with_plan(plan, 5, 2);
-  EXPECT_FALSE(outcome.failed);
-  EXPECT_EQ(outcome.attempts, 2u);
-  // The truncated first attempt must not leak partial bytes into the result.
-  EXPECT_NEAR(outcome.kilobits, fx.manifest.chunk_kilobits(5, 2), 1.0);
+  const double chunk_kb = fx.manifest.chunk_kilobits(5, 2);
+  for (const bool keep_prefix : {false, true}) {
+    SCOPED_TRACE(keep_prefix ? "keep_prefix" : "refetch");
+    const double ranges_before =
+        registry.counter(obs::kHttpRangeRequestsTotal).value();
+    sim::FetchControl control;
+    control.keep_prefix = keep_prefix;
+    const auto outcome = fx.fetch_with_plan(plan, 5, 2, nullptr, control);
+    const double server_ranges =
+        registry.counter(obs::kHttpRangeRequestsTotal).value() -
+        ranges_before;
+    EXPECT_FALSE(outcome.failed);
+    EXPECT_EQ(outcome.attempts, 2u);
+    EXPECT_DOUBLE_EQ(outcome.delivered_kilobits, chunk_kb);
+    if (keep_prefix) {
+      // The truncated prefix is resumed with a Range request, so less than
+      // two chunk sizes cross the wire.
+      EXPECT_GE(outcome.resumes, 1u);
+      EXPECT_GE(server_ranges, 1.0);
+      EXPECT_LT(outcome.kilobits, 2.0 * chunk_kb);
+    } else {
+      // The truncated first attempt must not leak partial bytes into the
+      // result, and the retry refetches from byte zero.
+      EXPECT_EQ(outcome.resumes, 0u);
+      EXPECT_DOUBLE_EQ(server_ranges, 0.0);
+      EXPECT_NEAR(outcome.kilobits, chunk_kb, 1.0);
+    }
+  }
+  registry.set_enabled(false);
 }
 
 TEST(ChunkServerInjection, StallDelaysButDelivers) {
@@ -220,7 +247,7 @@ TEST(ChunkServerInjection, ExhaustedRetriesReportFailure) {
   retry.initial_backoff_s = 0.05;
   HttpChunkSource source("127.0.0.1", server.port(), fx.manifest, 100.0,
                          retry);
-  const auto outcome = source.fetch(1, 1);
+  const auto outcome = source.fetch(1, 1, {});
   server.stop();
   EXPECT_TRUE(outcome.failed);
   EXPECT_EQ(outcome.attempts, 3u);

@@ -128,7 +128,7 @@ TEST(AdmissionControl, ClientRetryPolicyRidesOutOverload) {
   HttpChunkSource source("127.0.0.1", server.port(), manifest,
                          /*speedup=*/1.0, retry);
   server.reset_trace_clock();
-  const sim::FetchOutcome outcome = source.fetch(0, 0);
+  const sim::FetchOutcome outcome = source.fetch(0, 0, {});
   release.join();
 
   EXPECT_FALSE(outcome.failed);

@@ -217,7 +217,7 @@ TEST(TraceChunkSource, FetchAdvancesClockExactly) {
   EXPECT_EQ(source.truth(), &trace);
   EXPECT_DOUBLE_EQ(source.now(), 0.0);
   // Chunk at level 0: 1200 kb. 600 kb in first second, 600 kb at 1800 kbps.
-  const FetchOutcome outcome = source.fetch(0, 0);
+  const FetchOutcome outcome = source.fetch(0, 0, {});
   EXPECT_NEAR(outcome.duration_s, 1.0 + 1.0 / 3.0, 1e-9);
   EXPECT_NEAR(source.now(), outcome.duration_s, 1e-12);
   source.wait(2.5);

@@ -1,5 +1,5 @@
 // Sub-chunk delivery control: HTTP Range parsing and serving (206/416),
-// range-resume and truncation semantics of fetch_controlled, the mid-chunk
+// range-resume and truncation semantics of ChunkSource::fetch, the mid-chunk
 // abort monitor, partial-body resume credit under fault injection, and the
 // player's abort-then-resume loop with its two-run journal byte-identity
 // contract.
@@ -239,7 +239,7 @@ TEST(HttpRangeResume, ChunkSourceResumesFromTheDeliveredOffset) {
   const double total_kb = fx.manifest.chunk_kilobits(0, 0);
   sim::FetchControl control;
   control.resume_from_kilobits = total_kb / 2.0;
-  const sim::FetchOutcome outcome = source.fetch_controlled(0, 0, control);
+  const sim::FetchOutcome outcome = source.fetch(0, 0, control);
   EXPECT_FALSE(outcome.failed);
   EXPECT_EQ(outcome.resumes, 1u);
   // Only the missing suffix crossed the wire; the credit completes the chunk.
@@ -253,7 +253,7 @@ TEST(TraceControlled, ResumeCreditShortensTheTransfer) {
   const double total_kb = manifest.chunk_kilobits(0, 2);
 
   sim::TraceChunkSource full_source(trace, manifest);
-  const sim::FetchOutcome full = full_source.fetch_controlled(0, 2, {});
+  const sim::FetchOutcome full = full_source.fetch(0, 2, {});
   EXPECT_DOUBLE_EQ(full.kilobits, total_kb);
   EXPECT_DOUBLE_EQ(full.delivered_kilobits, total_kb);
   EXPECT_EQ(full.resumes, 0u);
@@ -262,7 +262,7 @@ TEST(TraceControlled, ResumeCreditShortensTheTransfer) {
   sim::FetchControl control;
   control.resume_from_kilobits = total_kb / 2.0;
   const sim::FetchOutcome resumed =
-      resumed_source.fetch_controlled(0, 2, control);
+      resumed_source.fetch(0, 2, control);
   EXPECT_EQ(resumed.resumes, 1u);
   EXPECT_DOUBLE_EQ(resumed.kilobits, total_kb / 2.0);
   EXPECT_DOUBLE_EQ(resumed.delivered_kilobits, total_kb);
@@ -272,7 +272,7 @@ TEST(TraceControlled, ResumeCreditShortensTheTransfer) {
   sim::TraceChunkSource covered_source(trace, manifest);
   control.resume_from_kilobits = total_kb;
   const sim::FetchOutcome covered =
-      covered_source.fetch_controlled(0, 2, control);
+      covered_source.fetch(0, 2, control);
   EXPECT_DOUBLE_EQ(covered.duration_s, 0.0);
   EXPECT_DOUBLE_EQ(covered.delivered_kilobits, total_kb);
 }
@@ -285,7 +285,7 @@ TEST(TraceControlled, TruncationKeepsThePrefixWithoutFailing) {
   sim::TraceChunkSource source(trace, manifest);
   sim::FetchControl control;
   control.truncate_after_fraction = 0.25;
-  const sim::FetchOutcome outcome = source.fetch_controlled(0, 2, control);
+  const sim::FetchOutcome outcome = source.fetch(0, 2, control);
   EXPECT_FALSE(outcome.failed);
   EXPECT_FALSE(outcome.aborted);
   EXPECT_DOUBLE_EQ(outcome.kilobits, total_kb * 0.25);
@@ -304,7 +304,7 @@ TEST(TraceControlled, AbortMonitorFiresDeterministicallyOnACollapsingLink) {
     sim::FetchControl control;
     control.abort_enabled = true;
     control.buffer_s = 0.0;
-    return source.fetch_controlled(0, 2, control);
+    return source.fetch(0, 2, control);
   };
   const sim::FetchOutcome first = run_once();
   EXPECT_TRUE(first.aborted);
@@ -322,7 +322,7 @@ TEST(TraceControlled, AbortMonitorFiresDeterministicallyOnACollapsingLink) {
 
   // The same transfer without the monitor rides the valley to completion.
   sim::TraceChunkSource patient(trace, manifest);
-  const sim::FetchOutcome completed = patient.fetch_controlled(0, 2, {});
+  const sim::FetchOutcome completed = patient.fetch(0, 2, {});
   EXPECT_FALSE(completed.aborted);
   EXPECT_DOUBLE_EQ(completed.delivered_kilobits,
                    manifest.chunk_kilobits(0, 2));
@@ -339,24 +339,29 @@ TEST(FaultyControlled, PartialBodyKeepsItsPrefixAsResumeCredit) {
   retry.initial_backoff_s = 0.05;
   const double total_kb = manifest.chunk_kilobits(0, 1);
 
-  // Controlled path: the truncated first attempt's prefix becomes resume
+  // keep_prefix: the truncated first attempt's prefix becomes resume
   // credit, so the retry transfers only the missing suffix.
-  sim::TraceChunkSource inner_controlled(trace, manifest);
-  testing::FaultySource controlled(inner_controlled, plan, retry);
-  const sim::FetchOutcome resumed = controlled.fetch_controlled(0, 1, {});
+  sim::TraceChunkSource inner_kept(trace, manifest);
+  testing::FaultySource kept(inner_kept, plan, retry);
+  sim::FetchControl keep;
+  keep.keep_prefix = true;
+  const sim::FetchOutcome resumed = kept.fetch(0, 1, keep);
   EXPECT_FALSE(resumed.failed);
   EXPECT_EQ(resumed.attempts, 2u);
   EXPECT_GE(resumed.resumes, 1u);
   EXPECT_NEAR(resumed.delivered_kilobits, total_kb, 1e-9);
   EXPECT_NEAR(resumed.kilobits, total_kb, 1e-9);
 
-  // Legacy path: the same schedule discards the truncated body and refetches
-  // from byte zero, so the chunk pays for its bytes twice.
-  sim::TraceChunkSource inner_legacy(trace, manifest);
-  testing::FaultySource legacy(inner_legacy, plan, retry);
-  const sim::FetchOutcome refetched = legacy.fetch(0, 1);
+  // Default control: the same schedule discards the truncated body and
+  // refetches from byte zero, so the chunk pays for its bytes twice.
+  sim::TraceChunkSource inner_refetch(trace, manifest);
+  testing::FaultySource refetch(inner_refetch, plan, retry);
+  const sim::FetchOutcome refetched = refetch.fetch(0, 1, {});
   EXPECT_FALSE(refetched.failed);
   EXPECT_EQ(refetched.attempts, 2u);
+  EXPECT_EQ(refetched.resumes, 0u);
+  EXPECT_DOUBLE_EQ(refetched.kilobits, total_kb);
+  EXPECT_DOUBLE_EQ(refetched.delivered_kilobits, total_kb);
   EXPECT_LT(resumed.duration_s, refetched.duration_s);
 }
 
