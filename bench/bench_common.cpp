@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -107,6 +108,38 @@ void print_summary_row(const std::string& label, const util::Cdf& cdf) {
 void print_table_rule(std::size_t columns) {
   for (std::size_t i = 0; i < 14 + columns * 11; ++i) std::putchar('-');
   std::putchar('\n');
+}
+
+bool extract_number(const std::string& json, const std::string& key,
+                    double* out) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t pos = json.find(needle);
+  if (pos == std::string::npos) return false;
+  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
+  return true;
+}
+
+bool check_against_baseline(const char* tool, const std::string& baseline,
+                            std::span<const GatedMetric> metrics) {
+  bool ok = true;
+  for (const GatedMetric& metric : metrics) {
+    double expected = 0.0;
+    if (!extract_number(baseline, metric.key, &expected)) {
+      std::fprintf(stderr, "%s: baseline missing %s\n", tool, metric.key);
+      ok = false;
+      continue;
+    }
+    if (std::abs(metric.value - expected) >
+        metric.tolerance * std::abs(expected)) {
+      std::fprintf(stderr,
+                   "%s: FAIL %s = %.17g drifted from baseline %.17g "
+                   "(tolerance %g%%)\n",
+                   tool, metric.key, metric.value, expected,
+                   metric.tolerance * 100.0);
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 }  // namespace abr::bench

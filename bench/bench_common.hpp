@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,5 +70,23 @@ void print_summary_header(const std::string& metric);
 
 /// Markdown-style table separator helpers.
 void print_table_rule(std::size_t columns);
+
+/// Pulls `"key": <number>` out of a flat JSON text. Good enough for reading
+/// our own baseline files without a JSON dependency.
+bool extract_number(const std::string& json, const std::string& key,
+                    double* out);
+
+/// One value gated against a committed baseline.
+struct GatedMetric {
+  const char* key;
+  double value;
+  double tolerance;  ///< allowed drift, relative to |baseline value|
+};
+
+/// Checks each metric against the same key in `baseline` (flat JSON text).
+/// Prints "<tool>: FAIL ..." to stderr for every missing key or drift
+/// beyond tolerance * |expected|, and returns false if any was found.
+bool check_against_baseline(const char* tool, const std::string& baseline,
+                            std::span<const GatedMetric> metrics);
 
 }  // namespace abr::bench

@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "media/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -188,15 +190,12 @@ double peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KB on Linux
 }
 
-/// Pulls `"key": <number>` out of a flat JSON text (same convention as
-/// solver_bench: our own baseline files only).
-bool extract_number(const std::string& json, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
+/// A gated outcome value at full precision (%.17g round-trips a double), so
+/// the baseline gate compares the values the run produced, not a rounding.
+std::string exact(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
 }
 
 }  // namespace
@@ -229,10 +228,12 @@ int main(int argc, char** argv) {
   json << "    \"p99_step_us\": " << step_latency.p99 << ",\n";
   json << "    \"steps\": " << step_latency.count << ",\n";
   json << "    \"peak_rss_mb\": " << rss_mb << ",\n";
-  json << "    \"total_chunks\": " << soak.total_chunks << ",\n";
-  json << "    \"qoe_sum\": " << soak.qoe_sum << ",\n";
-  json << "    \"jain_fairness\": " << soak.jain << ",\n";
-  json << "    \"link_utilization\": " << soak.link_utilization << "\n";
+  json << "    \"total_chunks\": "
+       << exact(static_cast<double>(soak.total_chunks)) << ",\n";
+  json << "    \"qoe_sum\": " << exact(soak.qoe_sum) << ",\n";
+  json << "    \"jain_fairness\": " << exact(soak.jain) << ",\n";
+  json << "    \"link_utilization\": " << exact(soak.link_utilization)
+       << "\n";
   json << "  }\n}\n";
 
   std::ofstream out(options.out);
@@ -255,36 +256,21 @@ int main(int argc, char** argv) {
     const std::string baseline = buffer.str();
 
     // Deterministic outcome metrics: hard gate (pure function of config).
-    struct Metric {
-      const char* key;
-      double value;
-      double tolerance;
-    };
-    const Metric metrics[] = {
+    const abr::bench::GatedMetric metrics[] = {
         {"total_chunks", static_cast<double>(soak.total_chunks), 0.0},
         {"qoe_sum", soak.qoe_sum, 1e-6},
         {"jain_fairness", soak.jain, 1e-9},
         {"link_utilization", soak.link_utilization, 1e-9},
     };
-    for (const Metric& metric : metrics) {
-      double expected = 0.0;
-      if (!extract_number(baseline, metric.key, &expected)) {
-        std::cerr << "fleet_bench: baseline missing " << metric.key << "\n";
-        failed = true;
-        continue;
-      }
-      const double drift = std::abs(metric.value - expected);
-      if (drift > metric.tolerance * std::abs(expected)) {
-        std::cerr << "fleet_bench: FAIL " << metric.key << " = "
-                  << metric.value << " drifted from baseline " << expected
-                  << "\n";
-        failed = true;
-      }
+    if (!abr::bench::check_against_baseline("fleet_bench", baseline,
+                                            metrics)) {
+      failed = true;
     }
 
     // Throughput: loose gate against the committed baseline.
     double baseline_rate = 0.0;
-    if (extract_number(baseline, "sessions_per_sec", &baseline_rate) &&
+    if (abr::bench::extract_number(baseline, "sessions_per_sec",
+                                   &baseline_rate) &&
         baseline_rate > 0.0) {
       if (soak.sessions_per_sec < options.min_sessions_frac * baseline_rate) {
         std::cerr << "fleet_bench: FAIL sessions/sec "

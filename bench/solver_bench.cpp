@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/fastmpc_table.hpp"
 #include "core/horizon_solver.hpp"
 #include "media/manifest.hpp"
@@ -90,23 +91,6 @@ Options parse_options(int argc, char** argv) {
   }
   return options;
 }
-
-/// Pulls `"key": <number>` out of a flat JSON text. Good enough for reading
-/// our own baseline files without a JSON dependency.
-bool extract_number(const std::string& json, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-struct Metric {
-  const char* key;
-  double value;
-  double tolerance;  ///< allowed relative drift (decisions can shift with libm)
-};
 
 }  // namespace
 
@@ -323,7 +307,7 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     const std::string baseline = buffer.str();
 
-    const Metric metrics[] = {
+    const abr::bench::GatedMetric metrics[] = {
         {"cells", static_cast<double>(cold_table.cell_count()), 0.0},
         {"cold_nodes", static_cast<double>(cold_stats.total_nodes_expanded),
          0.02},
@@ -334,20 +318,9 @@ int main(int argc, char** argv) {
          0.02},
         {"checksum", static_cast<double>(rle_checksum), 0.02},
     };
-    for (const Metric& metric : metrics) {
-      double expected = 0.0;
-      if (!extract_number(baseline, metric.key, &expected)) {
-        std::cerr << "solver_bench: baseline missing " << metric.key << "\n";
-        failed = true;
-        continue;
-      }
-      const double drift = std::abs(metric.value - expected);
-      if (drift > metric.tolerance * expected) {
-        std::cerr << "solver_bench: FAIL " << metric.key << " = "
-                  << metric.value << " drifted from baseline " << expected
-                  << " (tolerance " << metric.tolerance * 100.0 << "%)\n";
-        failed = true;
-      }
+    if (!abr::bench::check_against_baseline("solver_bench", baseline,
+                                            metrics)) {
+      failed = true;
     }
   }
 

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/dp_solver.hpp"
 #include "core/horizon_solver.hpp"
 #include "media/manifest.hpp"
@@ -111,16 +112,6 @@ abr::core::DpHorizonSolver::CrossCheckStats run_cross_check(
   return solver.cross_check_stats();
 }
 
-/// Pulls `"key": <number>` out of a flat JSON object fragment.
-bool extract_number(const std::string& json, const std::string& key,
-                    double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
 /// Gates each current cell's rebuffer ratio against the committed baseline:
 /// a cell fails when its ratio exceeds baseline + max(0.02, 50% relative).
 /// Cells absent from the baseline (new algorithms) are reported, not gated.
@@ -152,7 +143,7 @@ int gate_against_baseline(const std::string& baseline_path,
     const std::size_t end = baseline.find('}', pos);
     const std::string fragment = baseline.substr(pos, end - pos);
     double expected = 0.0;
-    if (!extract_number(fragment, "rebuffer_ratio", &expected)) {
+    if (!abr::bench::extract_number(fragment, "rebuffer_ratio", &expected)) {
       std::fprintf(stderr, "tournament: baseline cell %s/%s/%s lacks "
                    "rebuffer_ratio\n", cell.algorithm.c_str(),
                    cell.family.c_str(), cell.scenario.c_str());
