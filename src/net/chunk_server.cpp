@@ -6,7 +6,6 @@
 #include "net/faults.hpp"
 #include "net/telemetry.hpp"
 #include "obs/names.hpp"
-#include "obs/trace_event.hpp"
 #include "util/strings.hpp"
 
 namespace abr::net {
@@ -162,20 +161,6 @@ std::size_t ChunkServer::drain(double deadline_s) {
     drain_forced_counter_->increment(static_cast<double>(forced));
   }
   flush_metrics();
-  if (options_.trace_writer != nullptr && options_.trace_writer->enabled()) {
-    // Lifecycle instants so a final trace dump reflects the connections that
-    // never finished cleanly (wall clock; net/ is outside the deterministic
-    // layers).
-    const double now_s = uptime_s();
-    if (forced > 0) {
-      options_.trace_writer->instant("drain_forced_close", "server", now_s, 0,
-                                     {{"connections", forced}});
-    }
-    options_.trace_writer->instant(
-        "drain_complete", "server", now_s, 0,
-        {{"shed", server_.rejected_connections()},
-         {"requests_served", requests_served_.load()}});
-  }
   return forced;
 }
 

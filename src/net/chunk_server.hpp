@@ -15,10 +15,6 @@
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace abr::obs {
-class TraceWriter;
-}
-
 namespace abr::net {
 
 class FaultInjector;
@@ -59,11 +55,6 @@ struct ChunkServerOptions {
   /// deadline, so a slow scraper is disconnected (shed) instead of queuing
   /// behind — or stalling — the serving path.
   int telemetry_deadline_ms = 250;
-
-  /// Optional lifecycle trace sink: drain() emits instants for forced
-  /// closes and shed totals so the final trace dump reflects connections
-  /// that never finished cleanly. Must outlive the server.
-  obs::TraceWriter* trace_writer = nullptr;
 };
 
 /// A routed response before its head is serialized: status/reason/headers
