@@ -5,6 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/journal.hpp"
+
 namespace abr::obs {
 
 namespace {
@@ -13,31 +15,9 @@ std::int64_t to_us(double seconds) {
   return static_cast<std::int64_t>(std::llround(seconds * 1e6));
 }
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_json_string(std::string& out, std::string_view text) {
   out += '"';
-  append_escaped(out, text);
+  out += json_escape(text);
   out += '"';
 }
 

@@ -388,6 +388,7 @@ TEST(TraceWriterTest, EmitsWellFormedJsonRoundTrip) {
   writer.complete("download \"ch\\unk\"\n", "net", 0.0, 1.25, 0,
                   {{"chunk", std::size_t{0}},
                    {"note", std::string("quote\" slash\\ tab\t")},
+                   {"ctl", std::string("bell\b feed\f")},
                    {"kbps", 1234.5}});
   writer.complete("decide", "controller", 1.25, 0.0003, 0);
   writer.instant("playback_start", "playback", 1.25);
@@ -406,6 +407,8 @@ TEST(TraceWriterTest, EmitsWellFormedJsonRoundTrip) {
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
   // 1.25 s -> 1250000 us.
   EXPECT_NE(json.find("\"ts\":1250000"), std::string::npos);
+  // Control characters take the journal's \u00XX form (one escaper).
+  EXPECT_NE(json.find("bell\\u0008 feed\\u000c"), std::string::npos);
   EXPECT_EQ(writer.event_count(), 6u);
 }
 
