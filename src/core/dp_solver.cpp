@@ -263,40 +263,4 @@ double DpHorizonSolver::tolerance_bound(const HorizonProblem& problem) const {
   return bound;
 }
 
-std::size_t DpHorizonSolver::solve_slice(std::span<const double> forecast,
-                                         std::size_t first_chunk,
-                                         double buffer_capacity_s,
-                                         const util::LinearBinner& roots,
-                                         std::size_t root_bins,
-                                         std::span<std::uint8_t> decisions) {
-  const std::size_t horizon = prepare(forecast, first_chunk);
-  const std::size_t levels = level_quality_.size();
-  if (decisions.size() != levels * root_bins) {
-    throw std::invalid_argument("solve_slice: decision span size mismatch");
-  }
-  const util::LinearBinner binner(0.0, buffer_capacity_s, config_.buffer_bins);
-  std::size_t evaluations =
-      build_values(forecast, first_chunk, horizon, buffer_capacity_s, binner);
-  for (std::size_t prev = 0; prev < levels; ++prev) {
-    for (std::size_t b = 0; b < root_bins; ++b) {
-      const double buffer = roots.center(b);
-      std::size_t best_level = levels - 1;
-      double best_value = -std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < levels; ++i) {
-        const std::size_t level = levels - 1 - i;
-        ++evaluations;
-        const double value =
-            action_value(0, horizon, buffer, prev, /*has_prev=*/true, level,
-                         buffer_capacity_s, binner, nullptr);
-        if (value > best_value) {
-          best_value = value;
-          best_level = level;
-        }
-      }
-      decisions[prev * root_bins + b] = static_cast<std::uint8_t>(best_level);
-    }
-  }
-  return evaluations;
-}
-
 }  // namespace abr::core

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -96,18 +95,6 @@ class DpHorizonSolver {
   /// The guaranteed worst-case suboptimality of solve() for this problem
   /// (see the class comment for the derivation).
   double tolerance_bound(const HorizonProblem& problem) const;
-
-  /// FastMPC slice build: one backward pass for `forecast`, then the depth-0
-  /// decision for every (previous level, root-buffer-bin center) cell.
-  /// decisions must have size levels * root_bins, laid out
-  /// [prev * root_bins + bin] — the contiguous per-throughput-bin plane of
-  /// FastMpcTable's flat index. Returns the (state, action) evaluations
-  /// spent.
-  std::size_t solve_slice(std::span<const double> forecast,
-                          std::size_t first_chunk, double buffer_capacity_s,
-                          const util::LinearBinner& roots,
-                          std::size_t root_bins,
-                          std::span<std::uint8_t> decisions);
 
   const DpSolverConfig& config() const { return config_; }
   const CrossCheckStats& cross_check_stats() const {

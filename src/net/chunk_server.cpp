@@ -342,10 +342,11 @@ EpollServer::Response ChunkServer::on_request(const HttpRequest& request) {
   out.telemetry = routed.telemetry;
   if (routed.telemetry) {
     // Telemetry goes out unshaped (never queued behind a shaped segment
-    // send) under its own hard deadline: a scraper that stops reading is
-    // disconnected — shed, not queued.
+    // send) under the same hard deadline as the standalone telemetry
+    // endpoint: a scraper that stops reading is disconnected — shed, not
+    // queued.
     out.shaped = false;
-    out.write_deadline_ms = options_.telemetry_deadline_ms;
+    out.write_deadline_ms = TelemetryServer::kDeadlineMs;
   } else {
     out.shaped = true;
   }

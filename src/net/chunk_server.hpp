@@ -49,12 +49,6 @@ struct ChunkServerOptions {
   /// tell the origins apart. Empty (default) keeps the unlabeled families
   /// the single-origin tests expect.
   std::string metric_label;
-
-  /// Hard per-request deadline for telemetry responses (/metrics and
-  /// /statusz): their bodies are written unshaped under this write
-  /// deadline, so a slow scraper is disconnected (shed) instead of queuing
-  /// behind — or stalling — the serving path.
-  int telemetry_deadline_ms = 250;
 };
 
 /// A routed response before its head is serialized: status/reason/headers

@@ -8,7 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "obs/trace_event.hpp"
 #include "sim/session_log.hpp"
 
 namespace abr::sim {
@@ -44,15 +43,8 @@ SessionResult PlayerSession::run(ChunkSource& source,
   result.chunks.reserve(chunk_count);
 
   // Observability: metrics go to the global registry (a no-op unless it has
-  // been enabled); the timeline goes to the optional per-session TraceWriter.
+  // been enabled); the per-chunk timeline goes to the optional journal.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  obs::TraceWriter* tracer =
-      config_.trace_writer != nullptr && config_.trace_writer->enabled()
-          ? config_.trace_writer
-          : nullptr;
-  const int track = config_.trace_track;
-  const std::string buffer_counter_name =
-      track == 0 ? "buffer_s" : "buffer_s p" + std::to_string(track);
   obs::Counter& chunks_total = registry.counter(obs::kChunksDownloadedTotal);
   obs::Counter& rebuffer_total = registry.counter(obs::kRebufferSecondsTotal);
   obs::Counter& wait_total = registry.counter(obs::kWaitSecondsTotal);
@@ -70,8 +62,7 @@ SessionResult PlayerSession::run(ChunkSource& source,
   obs::Histogram& decide_hist = registry.histogram(
       obs::kDecideLatencyUs, "controller=\"" + controller.name() + "\"");
   // Skip the clock reads entirely when nobody is listening.
-  const bool time_decisions = registry.enabled() || tracer != nullptr;
-  bool playback_start_emitted = false;
+  const bool time_decisions = registry.enabled();
 
   qoe::QoeModel::Accumulator qoe_acc(*qoe_);
   QoeAttribution attribution;
@@ -130,8 +121,8 @@ SessionResult PlayerSession::run(ChunkSource& source,
     state.prediction_kbps = predictions;
     state.now_s = now;
     state.playback_started = playing;
-    // Runs controller.decide() with timing/trace instrumentation; shared by
-    // the per-chunk decision and any mid-chunk re-decides.
+    // Runs controller.decide() with latency instrumentation; shared by the
+    // per-chunk decision and any mid-chunk re-decides.
     const auto timed_decide = [&](const AbrState& st) {
       std::size_t lvl = 0;
       if (time_decisions) {
@@ -141,10 +132,6 @@ SessionResult PlayerSession::run(ChunkSource& source,
                                      std::chrono::steady_clock::now() - t0)
                                      .count();
         decide_hist.observe(decide_us);
-        if (tracer != nullptr) {
-          tracer->complete("decide", "controller", st.now_s, decide_us * 1e-6,
-                           track, {{"chunk", k}, {"level", lvl}});
-        }
       } else {
         lvl = controller.decide(st, manifest);
       }
@@ -318,7 +305,6 @@ SessionResult PlayerSession::run(ChunkSource& source,
     // 6. Buffer-full wait (Eq. (4)): drain the excess before the next
     // request. If playback has not begun (large fixed delay), idle until it
     // does, then drain.
-    const double wait_start_s = source.now();
     double wait_s = 0.0;
     if (buffer_s > buffer_capacity) {
       if (!playing) {
@@ -354,44 +340,6 @@ SessionResult PlayerSession::run(ChunkSource& source,
       resumes_total.increment(static_cast<double>(record.resumes));
     download_hist.observe(record.download_s);
     buffer_gauge.set(buffer_s);
-    if (tracer != nullptr) {
-      const double download_end_s = record.start_s + record.download_s;
-      tracer->complete("download", "net", record.start_s, record.download_s,
-                       track,
-                       {{"chunk", k},
-                        {"level", level},
-                        {"bitrate_kbps", record.bitrate_kbps},
-                        {"throughput_kbps", record.throughput_kbps}});
-      if (rebuffer_s > 0.0) {
-        // The stall occupies the tail of the download: the buffer ran dry
-        // rebuffer_s before the chunk arrived.
-        tracer->complete("rebuffer", "playback", download_end_s - rebuffer_s,
-                         rebuffer_s, track, {{"chunk", k}});
-      }
-      if (wait_s > 0.0) {
-        tracer->complete("wait", "playback", wait_start_s, wait_s, track,
-                         {{"chunk", k}});
-      }
-      if (degraded) {
-        tracer->instant("degraded", "net", record.start_s, track);
-      }
-      if (skipped) {
-        tracer->instant("chunk_skipped", "net", record.start_s, track);
-      }
-      if (record.aborted) {
-        tracer->instant("chunk_aborted", "net", record.start_s, track);
-      }
-      if (partial) {
-        tracer->instant("chunk_partial", "net", record.start_s, track);
-      }
-      if (playing && !playback_start_emitted) {
-        tracer->instant("playback_start", "playback", startup_delay, track);
-        playback_start_emitted = true;
-      }
-      tracer->counter(buffer_counter_name, record.start_s,
-                      record.buffer_before_s);
-      tracer->counter(buffer_counter_name, source.now(), buffer_s);
-    }
 
     qoe_acc.add_chunk(record.bitrate_kbps, rebuffer_s);
     if (journal != nullptr) {

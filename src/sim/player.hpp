@@ -10,7 +10,6 @@
 
 namespace abr::obs {
 class Journal;
-class TraceWriter;
 }
 
 namespace abr::sim {
@@ -58,21 +57,13 @@ struct SessionConfig {
   /// (the Fig. 11d convention).
   bool include_startup_in_qoe = true;
 
-  /// Optional Chrome trace-event sink: the session emits download /
-  /// rebuffer / wait spans, decide() spans (wall-clock duration at the
-  /// session timestamp), a buffer-level counter track, and playback-start
-  /// instants. Session metrics additionally flow to
-  /// obs::MetricsRegistry::global() whenever that registry is enabled.
-  obs::TraceWriter* trace_writer = nullptr;
-
-  /// Trace-event thread id for this session's spans; multi-session
-  /// timelines give each player its own track.
-  int trace_track = 0;
-
   /// Optional structured session journal: one JSONL record per chunk
   /// decision (full Eq. (5) attribution, predictor/solver state, delivery
   /// provenance) plus one per finished session. All timestamps are virtual
-  /// session time, so seeded runs journal byte-identically.
+  /// session time, so seeded runs journal byte-identically. It is the
+  /// session's only timeline: `abrreport --chrome-trace` renders it as
+  /// Chrome trace-event JSON. Session metrics additionally flow to
+  /// obs::MetricsRegistry::global() whenever that registry is enabled.
   obs::Journal* journal = nullptr;
 
   /// Session id stamped on journal records ("s0", "p3", ...).

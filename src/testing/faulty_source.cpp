@@ -32,6 +32,17 @@ sim::FetchOutcome FaultySource::fetch(std::size_t chunk, std::size_t level,
   // bytes (keep_prefix), and every inner transfer resumes from it.
   double resume_kb = control.resume_from_kilobits;
 
+  // Carries an inner transfer's provenance into this outcome: the origin
+  // that served it, the faults it hit, and the attempts it spent beyond the
+  // one this local attempt already counts (an origin pool retries and
+  // fails over inside a single call).
+  const auto absorb = [&](const sim::FetchOutcome& inner) {
+    outcome.origin = inner.origin;
+    outcome.faults += inner.faults;
+    outcome.attempts += inner.attempts - 1;
+    outcome.resumes += inner.resumes;
+  };
+
   const auto finish = [&](const sim::FetchOutcome& inner, bool failed) {
     outcome.aborted = inner.aborted;
     outcome.failed = failed;
@@ -68,7 +79,7 @@ sim::FetchOutcome FaultySource::fetch(std::size_t chunk, std::size_t level,
         }
         const sim::FetchOutcome inner =
             inner_->fetch(chunk, level, inner_control);
-        outcome.resumes += inner.resumes;
+        absorb(inner);
         // A transfer that was aborted, or that the inner source could not
         // deliver at all, never rides out the stall tail.
         if (decision.kind == FaultKind::kStall && !inner.aborted &&
@@ -88,7 +99,7 @@ sim::FetchOutcome FaultySource::fetch(std::size_t chunk, std::size_t level,
         }
         const sim::FetchOutcome inner =
             inner_->fetch(chunk, level, inner_control);
-        outcome.resumes += inner.resumes;
+        absorb(inner);
         if (inner.aborted) return finish(inner, false);
         if (control.keep_prefix) resume_kb = inner.delivered_kilobits;
         break;

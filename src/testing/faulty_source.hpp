@@ -31,6 +31,11 @@ namespace abr::testing {
 /// player's degradation path takes over. An inner abort surfaces
 /// immediately with the delivered prefix.
 ///
+/// Each attempt that reaches the inner source carries its provenance into
+/// the outcome: the serving origin, the inner faults, and any extra
+/// attempts the inner source spent (an origin pool's own retries and
+/// failovers). Over a bare TraceChunkSource that adds nothing.
+///
 /// Attempt numbers are counted per chunk across fetch() calls, so a
 /// degraded re-fetch at the lowest level continues the same schedule the
 /// server-side injector would see.

@@ -15,11 +15,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/fastmpc_table.hpp"
 #include "core/horizon_solver.hpp"
 #include "media/manifest.hpp"
 #include "test_helpers.hpp"
-#include "util/binning.hpp"
 #include "util/rng.hpp"
 
 namespace abr::core {
@@ -140,67 +138,6 @@ TEST(DpSolver, ToleranceBoundScalesWithGridResolution) {
   EXPECT_LT(fine_bound, coarse_bound);
   const double mu_event_term = fine_bound - (coarse_bound - fine_bound) / 9.0;
   EXPECT_GE(mu_event_term, -1e-9);
-}
-
-TEST(DpSolver, SliceDecisionsMatchPerStateSolves) {
-  // The FastMPC bulk build path must agree with the online path: each
-  // (prev, root-bin) decision of solve_slice equals the first level of a
-  // fresh solve() started at that bin center.
-  const auto manifest = media::VideoManifest::envivio_default();
-  const auto qoe = testing::balanced_qoe();
-  DpHorizonSolver solver(manifest, qoe);
-
-  const std::vector<double> forecast = {800.0, 800.0, 800.0, 800.0, 800.0};
-  const std::size_t levels = manifest.level_count();
-  const std::size_t root_bins = 20;
-  const util::LinearBinner roots(0.0, 30.0, root_bins);
-  std::vector<std::uint8_t> decisions(levels * root_bins, 0xff);
-  solver.solve_slice(forecast, 0, 30.0, roots, root_bins, decisions);
-
-  for (std::size_t prev = 0; prev < levels; ++prev) {
-    for (std::size_t b = 0; b < root_bins; ++b) {
-      HorizonProblem problem;
-      problem.buffer_s = roots.center(b);
-      problem.prev_level = prev;
-      problem.has_prev = true;
-      problem.predicted_kbps = forecast;
-      problem.first_chunk = 0;
-      problem.buffer_capacity_s = 30.0;
-      const HorizonSolution solution = solver.solve(problem);
-      EXPECT_EQ(decisions[prev * root_bins + b], solution.levels.front())
-          << "prev " << prev << " bin " << b;
-    }
-  }
-}
-
-TEST(DpSolver, FastMpcTableDpBackendStaysCloseToBnbTable) {
-  // Building the FastMPC table through the DP backend must produce the same
-  // decision in nearly every cell; disagreements are confined to cells where
-  // the two optima are within the discretization tolerance of each other.
-  const auto manifest = media::VideoManifest::envivio_default();
-  const auto qoe = testing::balanced_qoe();
-  FastMpcConfig bnb_config;
-  bnb_config.flat_lookup = true;
-  FastMpcConfig dp_config = bnb_config;
-  dp_config.dp_backend = true;
-  const FastMpcTable bnb_table = FastMpcTable::build(manifest, qoe, bnb_config);
-  const FastMpcTable dp_table = FastMpcTable::build(manifest, qoe, dp_config);
-
-  std::size_t queries = 0;
-  std::size_t disagreements = 0;
-  for (double buffer_s = 0.15; buffer_s < 30.0; buffer_s += 0.3) {
-    for (double kbps = 100.0; kbps < 9000.0; kbps *= 1.15) {
-      for (std::size_t prev = 0; prev < manifest.level_count(); ++prev) {
-        ++queries;
-        if (bnb_table.lookup(buffer_s, prev, kbps) !=
-            dp_table.lookup(buffer_s, prev, kbps)) {
-          ++disagreements;
-        }
-      }
-    }
-  }
-  // Empirical pin: well under 1% of cells may differ (tolerance-tied ties).
-  EXPECT_LE(disagreements, queries / 100) << disagreements << "/" << queries;
 }
 
 TEST(DpSolver, RejectsMalformedProblems) {

@@ -409,6 +409,69 @@ TEST(FaultySource, FailedInnerTransferIsAFailedFetch) {
   }
 }
 
+/// Passes every call through to `inner` and totals the attempts it reports.
+class AttemptCountingSource final : public sim::ChunkSource {
+ public:
+  explicit AttemptCountingSource(sim::ChunkSource& inner) : inner_(&inner) {}
+
+  sim::FetchOutcome fetch(std::size_t chunk, std::size_t level,
+                          const sim::FetchControl& control) override {
+    const sim::FetchOutcome outcome = inner_->fetch(chunk, level, control);
+    attempts_ += outcome.attempts;
+    return outcome;
+  }
+  void wait(double seconds) override { inner_->wait(seconds); }
+  double now() const override { return inner_->now(); }
+  const trace::ThroughputTrace* truth() const override {
+    return inner_->truth();
+  }
+
+  std::size_t attempts() const { return attempts_; }
+
+ private:
+  sim::ChunkSource* inner_;
+  std::size_t attempts_ = 0;
+};
+
+TEST(FaultySource, PropagatesInnerOriginAttemptsAndFaults) {
+  // Origin 0 dies at t=60 s and restarts at t=150 s, so the pool fails over
+  // to origin 1 mid-session; the plan injects only resets and 5xx errors,
+  // which never reach the pool.
+  const auto manifest = media::VideoManifest::envivio_default();
+  const auto trace = trace::ThroughputTrace::constant(3000.0, 1000.0);
+  const auto qoe = abr::testing::balanced_qoe();
+  testing::OutageScript script;
+  script.windows.push_back({0, 60.0, 150.0});
+  net::SimulatedOriginSource origins(trace, manifest, script);
+  AttemptCountingSource pool(origins);
+  testing::FaultPlan plan;
+  plan.seed = 7;
+  plan.reset_rate = 0.15;
+  plan.http_error_rate = 0.1;
+  testing::FaultySource source(pool, plan, {});
+  abr::testing::FixedLevelController controller(1);
+  abr::testing::ConstantPredictor predictor(3000.0);
+  sim::PlayerSession session(manifest, qoe, {});
+  const auto result = session.run(source, controller, predictor);
+
+  ASSERT_GT(origins.failovers(), 0u);
+  ASSERT_GT(source.faults_injected(), 0u);
+  std::size_t on_origin_1 = 0;
+  std::size_t attempts = 0;
+  std::size_t faults = 0;
+  for (const auto& record : result.chunks) {
+    if (record.origin == 1) ++on_origin_1;
+    attempts += record.attempts;
+    faults += record.faults;
+  }
+  EXPECT_GT(on_origin_1, 0u);
+  // Every attempt is either one the pool made or an injected-only attempt
+  // (reset / 5xx) that FaultySource answered without calling the pool.
+  EXPECT_EQ(attempts, pool.attempts() + source.faults_injected());
+  EXPECT_EQ(result.total_attempts, attempts);
+  EXPECT_EQ(faults, origins.attempt_failures() + source.faults_injected());
+}
+
 /// Fails every transfer above the lowest rung; delivers level 0 faithfully.
 class LowestRungOnlySource final : public sim::ChunkSource {
  public:

@@ -1,13 +1,11 @@
 // Tests for the observability layer (src/obs): metrics registry semantics,
-// histogram percentile accuracy against a sorted-vector oracle, concurrent
-// updates from parallel_for workers, Chrome trace-event JSON
-// well-formedness, and the PlayerSession instrumentation hooks.
+// histogram percentile accuracy against a sorted-vector oracle, and
+// concurrent updates from parallel_for workers. The session timeline is the
+// journal; its Chrome trace rendering is tested in abrreport_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,132 +13,11 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/span.hpp"
-#include "obs/trace_event.hpp"
-#include "sim/player.hpp"
-#include "test_helpers.hpp"
-#include "trace/throughput_trace.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace abr::obs {
 namespace {
-
-// --- A minimal JSON syntax checker (no library dependency): accepts the
-// --- full JSON grammar, rejects trailing garbage. Enough to prove the
-// --- trace writer always emits parseable output.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') { ++pos_; return true; }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() || !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) return false;
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(esc) ==
-                   std::string_view::npos) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 // --- MetricsRegistry -------------------------------------------------------
 
@@ -377,131 +254,6 @@ TEST(Metrics, LatencyTimerRecordsOnceAndOnlyWhenEnabled) {
   }
   EXPECT_EQ(histogram.count(), 1u);
   LatencyTimer null_timer(nullptr);  // must not crash
-}
-
-// --- TraceWriter -----------------------------------------------------------
-
-TEST(TraceWriterTest, EmitsWellFormedJsonRoundTrip) {
-  TraceWriter writer;
-  writer.set_process_name("abrsim");
-  writer.set_thread_name("player", 0);
-  writer.complete("download \"ch\\unk\"\n", "net", 0.0, 1.25, 0,
-                  {{"chunk", std::size_t{0}},
-                   {"note", std::string("quote\" slash\\ tab\t")},
-                   {"ctl", std::string("bell\b feed\f")},
-                   {"kbps", 1234.5}});
-  writer.complete("decide", "controller", 1.25, 0.0003, 0);
-  writer.instant("playback_start", "playback", 1.25);
-  writer.counter("buffer_s", 1.25, 4.0);
-
-  std::ostringstream out;
-  writer.write(out);
-  const std::string json = out.str();
-
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid()) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
-  // 1.25 s -> 1250000 us.
-  EXPECT_NE(json.find("\"ts\":1250000"), std::string::npos);
-  // Control characters take the journal's \u00XX form (one escaper).
-  EXPECT_NE(json.find("bell\\u0008 feed\\u000c"), std::string::npos);
-  EXPECT_EQ(writer.event_count(), 6u);
-}
-
-TEST(TraceWriterTest, DisabledWriterRecordsNothing) {
-  TraceWriter writer(/*enabled=*/false);
-  writer.complete("x", "c", 0.0, 1.0);
-  writer.counter("c", 0.0, 1.0);
-  EXPECT_EQ(writer.event_count(), 0u);
-  std::ostringstream out;
-  writer.write(out);
-  const std::string json = out.str();
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid());  // still a valid empty document
-}
-
-TEST(TraceWriterTest, ConcurrentAppendsAreSafe) {
-  TraceWriter writer;
-  util::parallel_for(
-      1000,
-      [&](std::size_t i) {
-        writer.complete("e", "c", static_cast<double>(i), 0.5,
-                        static_cast<int>(i % 4));
-      },
-      8);
-  EXPECT_EQ(writer.event_count("e"), 1000u);
-  std::ostringstream out;
-  writer.write(out);
-  const std::string json = out.str();
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid());
-}
-
-// --- PlayerSession hooks ---------------------------------------------------
-
-TEST(SessionTelemetry, ChunkSpanCountMatchesChunkCount) {
-  const auto manifest = testing::small_manifest();
-  const auto qoe = testing::balanced_qoe();
-  const auto trace = trace::ThroughputTrace::constant(1000.0, 1000.0);
-  abr::testing::FixedLevelController controller(0);
-  abr::testing::ConstantPredictor predictor(1000.0);
-
-  TraceWriter writer;
-  sim::SessionConfig config;
-  config.trace_writer = &writer;
-  const sim::SessionResult result =
-      sim::simulate(trace, manifest, qoe, config, controller, predictor);
-
-  EXPECT_EQ(writer.event_count("download"), result.chunks.size());
-  EXPECT_EQ(writer.event_count("download"), manifest.chunk_count());
-  EXPECT_EQ(writer.event_count("decide"), manifest.chunk_count());
-  EXPECT_EQ(writer.event_count("playback_start"), 1u);
-
-  // The download spans must replay the per-chunk log exactly.
-  std::size_t seen = 0;
-  for (const TraceEvent& event : writer.events()) {
-    if (event.name != "download") continue;
-    const sim::ChunkRecord& record = result.chunks[seen];
-    EXPECT_EQ(event.ts_us,
-              static_cast<std::int64_t>(std::llround(record.start_s * 1e6)));
-    EXPECT_EQ(event.dur_us, static_cast<std::int64_t>(
-                                std::llround(record.download_s * 1e6)));
-    ++seen;
-  }
-  EXPECT_EQ(seen, result.chunks.size());
-
-  std::ostringstream out;
-  writer.write(out);
-  const std::string json = out.str();
-  JsonChecker checker(json);
-  EXPECT_TRUE(checker.valid());
-}
-
-TEST(SessionTelemetry, RebufferSpansAppearWhenSessionStalls) {
-  // 1500 kbps chunks over a 1000 kbps link stall on every post-startup
-  // chunk (see PlayerSession.OverambitiousBitrateRebuffersEveryChunk).
-  const auto manifest = testing::small_manifest();
-  const auto qoe = testing::balanced_qoe();
-  const auto trace = trace::ThroughputTrace::constant(1000.0, 1000.0);
-  abr::testing::FixedLevelController controller(2);
-  abr::testing::ConstantPredictor predictor(1000.0);
-
-  TraceWriter writer;
-  sim::SessionConfig config;
-  config.trace_writer = &writer;
-  const sim::SessionResult result =
-      sim::simulate(trace, manifest, qoe, config, controller, predictor);
-
-  ASSERT_GT(result.total_rebuffer_s, 0.0);
-  std::size_t stalled_chunks = 0;
-  for (const sim::ChunkRecord& record : result.chunks) {
-    if (record.rebuffer_s > 0.0) ++stalled_chunks;
-  }
-  EXPECT_EQ(writer.event_count("rebuffer"), stalled_chunks);
 }
 
 }  // namespace

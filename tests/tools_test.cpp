@@ -69,11 +69,12 @@ TEST(ToolsAbrsim, MetricsAndTraceOutEmitObservabilityArtifacts) {
   const auto dir = std::filesystem::temp_directory_path() / "abr_obs_test";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  const auto journal_path = dir / "session.jsonl";
   const auto trace_path = dir / "session.json";
   const auto result = run_command(
       std::string(ABRSIM_PATH) +
       " --algorithm robustmpc --dataset fcc --no-optimal --metrics"
-      " --trace-out " + trace_path.string());
+      " --journal " + journal_path.string());
   EXPECT_EQ(result.exit_code, 0);
 
   // Prometheus dump: solve-latency histograms for every MPC flavour, with
@@ -89,8 +90,14 @@ TEST(ToolsAbrsim, MetricsAndTraceOutEmitObservabilityArtifacts) {
   EXPECT_NE(result.output.find("abr_chunks_downloaded_total 65"),
             std::string::npos);
 
-  // Chrome trace: file exists and holds a traceEvents array with the
-  // per-chunk spans.
+  // Chrome trace: rendered offline from the journal, it holds a
+  // traceEvents array with the per-chunk spans and decisions.
+  const auto render = run_command(std::string(ABRREPORT_PATH) +
+                                  " --chrome-trace " + trace_path.string() +
+                                  " " + journal_path.string());
+  EXPECT_EQ(render.exit_code, 0) << render.output;
+  EXPECT_NE(render.output.find("1 session track;"), std::string::npos)
+      << render.output;
   ASSERT_TRUE(std::filesystem::exists(trace_path));
   std::ifstream in(trace_path);
   std::string json((std::istreambuf_iterator<char>(in)),
@@ -99,6 +106,12 @@ TEST(ToolsAbrsim, MetricsAndTraceOutEmitObservabilityArtifacts) {
   EXPECT_NE(json.find("\"name\":\"download\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"decide\""), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
+
+  // --chrome-trace takes exactly one journal.
+  EXPECT_EQ(run_command(std::string(ABRREPORT_PATH) + " --chrome-trace " +
+                        trace_path.string())
+                .exit_code,
+            2);
   std::filesystem::remove_all(dir);
 }
 

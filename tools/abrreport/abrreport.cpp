@@ -8,11 +8,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/exposition.hpp"
+#include "obs/journal.hpp"
 #include "util/checked_parse.hpp"
 #include "util/strings.hpp"
 
@@ -209,6 +211,12 @@ double get_number(const JsonObject& object, const std::string& key) {
   return it->second.number;
 }
 
+bool get_flag(const JsonObject& object, const std::string& key) {
+  const auto it = object.find(key);
+  return it != object.end() && it->second.kind == JsonValue::Kind::kBoolean &&
+         it->second.boolean;
+}
+
 std::size_t get_count(const JsonObject& object, const std::string& key) {
   // Checked conversion: llround on a huge double is UB, and journal counts
   // are small — treat anything non-integral or out of range as 0.
@@ -258,12 +266,7 @@ ReportSummary summarize_journal(std::istream& in) {
       const std::string path = get_string(record, "path");
       if (path == "online") ++algo.online_chunks;
       else if (path == "table") ++algo.table_chunks;
-      const auto warm = record.find("warm_start");
-      if (warm != record.end() &&
-          warm->second.kind == JsonValue::Kind::kBoolean &&
-          warm->second.boolean) {
-        ++algo.warm_starts;
-      }
+      if (get_flag(record, "warm_start")) ++algo.warm_starts;
       algo.nodes_expanded += get_count(record, "nodes");
     } else if (type == "session") {
       ++summary.session_records;
@@ -395,6 +398,209 @@ std::string render_report(const ReportSummary& summary) {
                algo.aborted_chunks, algo.resumes, algo.wasted_kb);
   }
   return out;
+}
+
+namespace {
+
+std::int64_t to_us(double seconds) {
+  // Clamped so a hostile journal value cannot overflow llround.
+  return static_cast<std::int64_t>(
+      std::llround(std::clamp(seconds * 1e6, -9.0e18, 9.0e18)));
+}
+
+JsonValue number_arg(double value) {
+  JsonValue arg;
+  arg.number = value;
+  return arg;
+}
+
+JsonValue string_arg(std::string text) {
+  JsonValue arg;
+  arg.kind = JsonValue::Kind::kString;
+  arg.text = std::move(text);
+  return arg;
+}
+
+TraceEvent& add_event(ChromeTrace& trace, std::string name,
+                      std::string category, char phase, double ts_s,
+                      int tid) {
+  TraceEvent event;
+  event.name = std::move(name);
+  event.category = std::move(category);
+  event.phase = phase;
+  event.ts_us = to_us(ts_s);
+  event.tid = tid;
+  trace.events.push_back(std::move(event));
+  return trace.events.back();
+}
+
+void add_span(ChromeTrace& trace, std::string name, std::string category,
+              double start_s, double duration_s, int tid,
+              std::vector<std::pair<std::string, JsonValue>> args) {
+  TraceEvent& event =
+      add_event(trace, std::move(name), std::move(category), 'X', start_s, tid);
+  event.dur_us = std::max<std::int64_t>(to_us(duration_s), 0);
+  event.args = std::move(args);
+}
+
+void append_json_string(std::string& out, const std::string& text) {
+  out += '"';
+  out += obs::json_escape(text);
+  out += '"';
+}
+
+}  // namespace
+
+ChromeTrace journal_to_chrome_trace(std::istream& in) {
+  ChromeTrace trace;
+  std::vector<JsonObject> records;
+  std::vector<std::string> labels;  // first-appearance order == tid
+  std::map<std::string, int> tids;
+  std::string line;
+  JsonObject record;
+  std::string error;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    ++lines;
+    if (!parse_flat_json(line, record, error)) {
+      ++trace.malformed_lines;
+      if (trace.first_error.empty()) {
+        trace.first_error = "line " + std::to_string(lines) + ": " + error;
+      }
+      continue;
+    }
+    const std::string type = get_string(record, "type");
+    if (type != "chunk" && type != "session") continue;
+    const std::string label = get_string(record, "session");
+    if (tids.emplace(label, static_cast<int>(labels.size())).second) {
+      labels.push_back(label);
+    }
+    records.push_back(std::move(record));
+  }
+  trace.sessions = labels.size();
+
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    add_event(trace, "thread_name", "", 'M', 0.0, static_cast<int>(i))
+        .args.emplace_back("name", string_arg(labels[i]));
+  }
+
+  // Chrome plots one counter track per name, so a multi-session journal
+  // names each session's buffer track after its label.
+  const auto buffer_track = [&](const std::string& label) {
+    return labels.size() == 1 ? std::string("buffer_s") : "buffer_s " + label;
+  };
+  // Startup delay counts from a session's first request, which in a fleet
+  // is its staggered join time rather than zero.
+  std::vector<std::optional<double>> first_request_s(labels.size());
+
+  for (const JsonObject& r : records) {
+    const std::string label = get_string(r, "session");
+    const int tid = tids.at(label);
+    std::optional<double>& first =
+        first_request_s[static_cast<std::size_t>(tid)];
+    if (get_string(r, "type") == "session") {
+      add_event(trace, "playback_start", "playback", 'i',
+                first.value_or(0.0) + get_number(r, "startup_delay_s"), tid);
+      continue;
+    }
+    const double start_s = get_number(r, "t_s");
+    const double download_s = get_number(r, "download_s");
+    const double rebuffer_s = get_number(r, "rebuffer_s");
+    const double wait_s = get_number(r, "wait_s");
+    const double chunk = get_number(r, "chunk");
+    if (!first.has_value()) first = start_s;
+
+    TraceEvent& decide =
+        add_event(trace, "decide", "controller", 'i', start_s, tid);
+    decide.args.emplace_back("solver_path", string_arg(get_string(r, "path")));
+    decide.args.emplace_back("nodes_expanded",
+                             number_arg(get_number(r, "nodes")));
+    add_span(trace, "download", "net", start_s, download_s, tid,
+             {{"chunk", number_arg(chunk)},
+              {"level", number_arg(get_number(r, "level"))},
+              {"bitrate_kbps", number_arg(get_number(r, "bitrate_kbps"))},
+              {"throughput_kbps",
+               number_arg(get_number(r, "throughput_kbps"))}});
+    const double download_end_s = start_s + download_s;
+    if (rebuffer_s > 0.0) {
+      // The stall occupies the tail of the download: the buffer ran dry
+      // rebuffer_s before the chunk arrived.
+      add_span(trace, "rebuffer", "playback", download_end_s - rebuffer_s,
+               rebuffer_s, tid, {{"chunk", number_arg(chunk)}});
+    }
+    if (wait_s > 0.0) {
+      add_span(trace, "wait", "playback", download_end_s, wait_s, tid,
+               {{"chunk", number_arg(chunk)}});
+    }
+    static const char* const kFlags[][2] = {{"degraded", "degraded"},
+                                            {"skipped", "chunk_skipped"},
+                                            {"aborted", "chunk_aborted"},
+                                            {"partial", "chunk_partial"}};
+    for (const auto& [field, name] : kFlags) {
+      if (get_flag(r, field)) add_event(trace, name, "net", 'i', start_s, tid);
+    }
+    add_event(trace, buffer_track(label), "", 'C', start_s, tid)
+        .args.emplace_back("value",
+                           number_arg(get_number(r, "buffer_before_s")));
+    add_event(trace, buffer_track(label), "", 'C', download_end_s + wait_s,
+              tid)
+        .args.emplace_back("value",
+                           number_arg(get_number(r, "buffer_after_s")));
+  }
+  return trace;
+}
+
+std::string render_chrome_trace(const ChromeTrace& trace) {
+  std::string json;
+  json.reserve(trace.events.size() * 112 + 128);
+  json += "{\"traceEvents\":[";
+  bool first = true;
+  for (const TraceEvent& event : trace.events) {
+    if (!first) json += ",\n";
+    first = false;
+    json += "{\"name\":";
+    append_json_string(json, event.name);
+    if (!event.category.empty()) {
+      json += ",\"cat\":";
+      append_json_string(json, event.category);
+    }
+    json += ",\"ph\":\"";
+    json += event.phase;
+    json += '"';
+    if (event.phase != 'M') json += ",\"ts\":" + std::to_string(event.ts_us);
+    if (event.phase == 'X') {
+      json += ",\"dur\":" + std::to_string(event.dur_us);
+    }
+    if (event.phase == 'i') json += ",\"s\":\"t\"";  // thread-scoped instant
+    json += ",\"pid\":1,\"tid\":" + std::to_string(event.tid);
+    if (!event.args.empty()) {
+      json += ",\"args\":{";
+      bool first_arg = true;
+      for (const auto& [key, value] : event.args) {
+        if (!first_arg) json += ',';
+        first_arg = false;
+        append_json_string(json, key);
+        json += ':';
+        switch (value.kind) {
+          case JsonValue::Kind::kString:
+            append_json_string(json, value.text);
+            break;
+          case JsonValue::Kind::kNumber:
+            json += obs::json_number(value.number);
+            break;
+          case JsonValue::Kind::kBoolean:
+            json += value.boolean ? "true" : "false";
+            break;
+        }
+      }
+      json += '}';
+    }
+    json += '}';
+  }
+  json += "],\"displayTimeUnit\":\"ms\",";
+  json += "\"otherData\":{\"generator\":\"abrreport --chrome-trace\"}}\n";
+  return json;
 }
 
 int check_metrics_file(const std::string& path, std::ostream& out) {

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 // abrreport: offline summarizer for the structured session journal
@@ -13,6 +15,9 @@
 // Fig. 11's attribution breakdown), plus solver/delivery columns the paper
 // aggregates by hand. `--check-metrics` reuses obs::validate_prometheus_text
 // so CI's telemetry smoke job and local scrapes gate on one validator.
+// `--chrome-trace` renders a journal as a Chrome trace-event timeline: the
+// journal is every producer's one per-chunk record, so any journal (single
+// player or shared-link fleet) gets a timeline without simulator code.
 
 namespace abr::tools {
 
@@ -91,6 +96,45 @@ double percentile(std::vector<double> samples, double q);
 /// Renders the per-algorithm QoE table (Fig. 9 style), the Eq. (5)
 /// attribution breakdown (Fig. 11 style), and solver/delivery columns.
 std::string render_report(const ReportSummary& summary);
+
+/// One entry of Chrome's trace-event format. Times are integer
+/// microseconds, as the format specifies.
+struct TraceEvent {
+  std::string name;
+  std::string category;  ///< omitted from the output when empty
+  char phase = 'X';      ///< 'X' complete, 'i' instant, 'C' counter,
+                         ///< 'M' metadata
+  std::int64_t ts_us = 0;
+  std::int64_t dur_us = 0;  ///< complete events only
+  int tid = 0;
+  std::vector<std::pair<std::string, JsonValue>> args;
+};
+
+/// A journal rendered as trace events, with the journal's parse account.
+struct ChromeTrace {
+  std::vector<TraceEvent> events;
+  std::size_t sessions = 0;         ///< one track (tid) per session label
+  std::size_t malformed_lines = 0;  ///< skipped, like summarize_journal
+  std::string first_error;          ///< first parse error, "" when none
+};
+
+/// Renders a journal stream as a session timeline. Each session label gets
+/// one tid, numbered in first-appearance order and named by a thread_name
+/// metadata event. Per chunk record: a `decide` instant at t_s (solver path
+/// and nodes expanded; no wall-clock duration), a `download` span
+/// [t_s, t_s + download_s), a `rebuffer` span on the download's tail, a
+/// `wait` span after the download, `degraded` / `chunk_skipped` /
+/// `chunk_aborted` / `chunk_partial` instants at t_s, and a buffer counter
+/// sampled at t_s (buffer_before_s) and after the wait (buffer_after_s).
+/// Per session record: a `playback_start` instant startup_delay_s after the
+/// session's first request. Every time is llround(seconds * 1e6), so the
+/// same journal always renders the same events.
+ChromeTrace journal_to_chrome_trace(std::istream& in);
+
+/// Serializes as {"traceEvents":[...],...} (chrome://tracing, Perfetto).
+/// Strings go through obs::json_escape and numbers through
+/// obs::json_number, so the output is byte-deterministic.
+std::string render_chrome_trace(const ChromeTrace& trace);
 
 /// Validates `path` as Prometheus text exposition, writing issues to `out`.
 /// Returns 0 when valid, 1 when issues were found, 2 when unreadable.

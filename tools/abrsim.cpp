@@ -8,7 +8,8 @@
 //   abrsim --algorithm robustmpc --dataset hsdpa --index 3
 //   abrsim --algorithm bb --trace mytrace.csv --manifest video.mpd
 //   abrsim --algorithm fastmpc --dataset fcc --chunk-log
-//   abrsim --algorithm robustmpc --dataset fcc --metrics --trace-out t.json
+//   abrsim --algorithm robustmpc --dataset fcc --metrics --journal s.jsonl
+//   abrreport --chrome-trace s.json s.jsonl   # timeline for chrome://tracing
 //   abrsim --algorithm robustmpc --dataset hsdpa --faults plan.json
 //   abrsim --origins 2 --kill-origin at=60,restart=150 --chunk-log
 #include <chrono>
@@ -30,7 +31,6 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "obs/trace_event.hpp"
 #include "sim/chunk_source.hpp"
 #include "sim/player.hpp"
 #include "testing/fault_plan.hpp"
@@ -60,7 +60,6 @@ struct Options {
   bool chunk_log = false;
   bool skip_optimal = false;
   bool metrics = false;
-  std::string trace_out;
   std::string faults_path;
   bool abort_policy = false;
   std::size_t origins = 1;
@@ -87,8 +86,6 @@ void usage() {
       "  --no-optimal              skip the offline-optimal comparison\n"
       "  --metrics                 enable instrumentation and print a\n"
       "                            Prometheus-format metrics dump at exit\n"
-      "  --trace-out FILE.json     write the session timeline as Chrome\n"
-      "                            trace-event JSON (chrome://tracing)\n"
       "  --faults PLAN.json        inject transport faults per a seeded\n"
       "                            FaultPlan (deterministic: same plan =>\n"
       "                            bit-identical session)\n"
@@ -107,7 +104,9 @@ void usage() {
       "  --journal FILE.jsonl      write the structured session journal (one\n"
       "                            JSON record per chunk decision with full\n"
       "                            QoE attribution; byte-identical across\n"
-      "                            seeded runs). Summarize with abrreport.\n"
+      "                            seeded runs). Summarize with abrreport;\n"
+      "                            abrreport --chrome-trace renders it as a\n"
+      "                            Chrome trace-event timeline.\n"
       "  --telemetry-port P        serve GET /metrics, /statusz, /healthz on\n"
       "                            P while the session runs (0 = ephemeral;\n"
       "                            implies --metrics)\n"
@@ -193,7 +192,6 @@ bool parse_args(int argc, char** argv, Options& options) {
     else if (arg == "--chunk-log") options.chunk_log = true;
     else if (arg == "--no-optimal") options.skip_optimal = true;
     else if (arg == "--metrics") options.metrics = true;
-    else if (arg == "--trace-out") options.trace_out = value();
     else if (arg == "--faults") options.faults_path = value();
     else if (arg == "--abort-policy") options.abort_policy = true;
     else if (arg == "--origins") options.origins = count_value();
@@ -272,22 +270,17 @@ int main(int argc, char** argv) {
   }
 
   // Observability: --metrics flips the global registry's kill switch and
-  // pre-registers the standard families so the dump shows the full schema;
-  // --trace-out attaches a Chrome trace-event writer to the session.
+  // pre-registers the standard families so the dump shows the full schema.
   if (options.metrics || options.telemetry_port >= 0) {
     obs::MetricsRegistry::global().set_enabled(true);
     obs::register_standard_metrics(obs::MetricsRegistry::global());
   }
-  obs::TraceWriter tracer(!options.trace_out.empty());
-  tracer.set_process_name("abrsim");
-  tracer.set_thread_name("player", 0);
 
   const qoe::QoeModel model(media::QualityFunction::identity(),
                             qoe::preset_weights(*preference));
   sim::SessionConfig session;
   session.buffer_capacity_s = options.buffer_s;
   session.abort_policy.enabled = options.abort_policy;
-  if (tracer.enabled()) session.trace_writer = &tracer;
 
   // --journal attaches the structured JSONL journal to the session; every
   // chunk decision gets one record with the full Eq. (5) attribution.
@@ -432,16 +425,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!options.trace_out.empty()) {
-    try {
-      tracer.save(options.trace_out);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-    std::printf("\nwrote Chrome trace: %s (%zu events; open chrome://tracing)\n",
-                options.trace_out.c_str(), tracer.event_count());
-  }
   if (journal.has_value()) {
     journal->flush();
     std::printf("\nwrote journal: %s (%zu records; summarize with abrreport)\n",
