@@ -5,7 +5,7 @@
 // comparison is bit-exact on the serialized log.
 //
 // The GoldenSharedLink suite pins the shared-link simulator the same way:
-// three fleet configurations, plus the journal and fleet time series of the
+// four fleet configurations, plus the journal and fleet time series of the
 // first one.
 //
 // To regenerate after an *intentional* behaviour change:
@@ -14,6 +14,7 @@
 // then review the diff like any other code change.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -338,6 +339,113 @@ TEST(GoldenSharedLink, RobustMpcEightPlayersOnFcc7) {
   expect_golden("shared_robustmpc8_fcc7.txt",
                 serialize_chunks("robustmpc8_fcc7", result));
   expect_shared_link_invariants(result, link, manifest, qoe, config);
+}
+
+/// Forwards to a controller and counts the online solves behind its
+/// decisions and the branch-and-bound nodes they expanded.
+class SolveCounter final : public sim::BitrateController {
+ public:
+  explicit SolveCounter(sim::BitrateController& inner) : inner_(&inner) {}
+
+  std::size_t decide(const sim::AbrState& state,
+                     const media::VideoManifest& manifest) override {
+    const std::size_t level = inner_->decide(state, manifest);
+    const sim::DecisionTelemetry* telemetry = inner_->last_decision();
+    if (telemetry != nullptr && std::string(telemetry->path) == "online") {
+      ++solves_;
+      nodes_ += telemetry->nodes_expanded;
+    }
+    return level;
+  }
+  std::size_t prediction_horizon() const override {
+    return inner_->prediction_horizon();
+  }
+  void reset() override { inner_->reset(); }
+  const sim::DecisionTelemetry* last_decision() const override {
+    return inner_->last_decision();
+  }
+  std::string name() const override { return inner_->name(); }
+
+  std::size_t solves() const { return solves_; }
+  std::size_t nodes() const { return nodes_; }
+
+ private:
+  sim::BitrateController* inner_;
+  std::size_t solves_ = 0;
+  std::size_t nodes_ = 0;
+};
+
+// The fleet benchmark's regime at golden scale: 64 RobustMPC players join
+// over four video durations on a seeded FCC-like link scaled so the players
+// active at once average a 1300 kbps fair share — inside the ladder, so the
+// link is contended and every decision runs a real horizon search. The
+// golden pins a per-session summary and an FNV-1a checksum over every
+// (player, chunk, level); solver effort is asserted, not pinned, because
+// tighter pruning may lower it without changing a decision.
+TEST(GoldenSharedLink, RobustMpc64PlayersContendedFccLike) {
+  constexpr std::size_t kPlayers = 64;
+  constexpr double kArrivalWindowFactor = 4.0;
+  constexpr double kFairShareKbps = 1300.0;
+  const auto manifest = media::VideoManifest::cbr(
+      32, 4.0, media::VideoManifest::envivio_default().bitrates_kbps());
+  const auto qoe = abr::testing::balanced_qoe();
+  const double video_s = manifest.duration_s();
+  util::Rng rng(16);
+  const trace::ThroughputTrace raw = trace::FccLikeConfig{}.generate(
+      rng, (kArrivalWindowFactor + 2.0) * video_s, "contended-fcc-like");
+  const double active = static_cast<double>(kPlayers) / kArrivalWindowFactor;
+  const trace::ThroughputTrace link =
+      raw.scaled(kFairShareKbps * active / raw.mean_kbps());
+
+  std::vector<core::AlgorithmInstance> instances;
+  std::vector<std::unique_ptr<SolveCounter>> counters;
+  std::vector<sim::BitrateController*> controllers;
+  std::vector<predict::ThroughputPredictor*> predictors;
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    instances.push_back(
+        core::make_algorithm(core::Algorithm::kRobustMpc, manifest, qoe));
+    counters.push_back(
+        std::make_unique<SolveCounter>(*instances.back().controller));
+    controllers.push_back(counters.back().get());
+    predictors.push_back(instances.back().predictor.get());
+  }
+  sim::MultiPlayerConfig config;
+  config.time_step_s = 0.02;
+  config.startup_stagger_s =
+      kArrivalWindowFactor * video_s / static_cast<double>(kPlayers);
+  const sim::MultiPlayerResult result = sim::simulate_shared_link(
+      link, manifest, qoe, config,
+      std::span<sim::BitrateController* const>(controllers),
+      std::span<predict::ThroughputPredictor* const>(predictors));
+
+  std::uint64_t checksum = 14695981039346656037ULL;
+  auto mix = [&checksum](std::uint64_t value) {
+    checksum ^= value;
+    checksum *= 1099511628211ULL;
+  };
+  for (std::size_t i = 0; i < result.players.size(); ++i) {
+    for (const sim::ChunkRecord& r : result.players[i].chunks) {
+      mix(i);
+      mix(r.index);
+      mix(r.level);
+    }
+  }
+  char line[64];
+  std::snprintf(line, sizeof(line), "levels_fnv1a %016llx\n",
+                static_cast<unsigned long long>(checksum));
+  expect_golden("shared_robustmpc64_contended.txt",
+                serialize_sessions("robustmpc64_contended", result) + line);
+  expect_shared_link_invariants(result, link, manifest, qoe, config);
+
+  std::size_t solves = 0;
+  std::size_t nodes = 0;
+  for (const auto& counter : counters) {
+    solves += counter->solves();
+    nodes += counter->nodes();
+  }
+  ASSERT_GT(solves, 0u);
+  EXPECT_GT(static_cast<double>(nodes) / static_cast<double>(solves), 100.0)
+      << "the contended golden no longer exercises the horizon search";
 }
 
 }  // namespace
