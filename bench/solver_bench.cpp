@@ -269,8 +269,8 @@ int main(int argc, char** argv) {
        << "\n  },\n";
   json << "  \"online_solve\": {\n";
   json << "    \"solves\": " << options.chunks << ",\n";
-  json << "    \"cold_nodes\": " << online_cold_nodes << ",\n";
-  json << "    \"warm_nodes\": " << online_warm_nodes << ",\n";
+  json << "    \"online_cold_nodes\": " << online_cold_nodes << ",\n";
+  json << "    \"online_warm_nodes\": " << online_warm_nodes << ",\n";
   json << "    \"node_reduction\": " << online_reduction << ",\n";
   json << "    \"cold_p50_us\": " << cold_latency_us.percentile(50.0) << ",\n";
   json << "    \"cold_p99_us\": " << cold_latency_us.percentile(99.0) << ",\n";
@@ -313,6 +313,8 @@ int main(int argc, char** argv) {
          0.02},
         {"warm_nodes", static_cast<double>(warm_stats.total_nodes_expanded),
          0.02},
+        {"online_cold_nodes", static_cast<double>(online_cold_nodes), 0.02},
+        {"online_warm_nodes", static_cast<double>(online_warm_nodes), 0.02},
         {"run_count", static_cast<double>(warm_table.run_count()), 0.02},
         {"rle_binary_bytes", static_cast<double>(warm_table.rle_binary_bytes()),
          0.02},

@@ -58,6 +58,9 @@ std::size_t MpcController::decide(const sim::AbrState& state,
                           state.throughput_history_kbps.back());
     history_seen_ = state.throughput_history_kbps.size();
   }
+  // One scan of the error window per decision: it deflates every forecast
+  // element and is reported as telemetry.
+  const double error_window = error_tracker_.max_abs_error();
 
   // No forecast yet (first chunk): start at the lowest level, as real
   // players do.
@@ -66,7 +69,7 @@ std::size_t MpcController::decide(const sim::AbrState& state,
     last_effective_kbps_ = 0.0;
     previous_plan_.clear();
     telemetry_ = sim::DecisionTelemetry{};  // cold start is a rule decision
-    telemetry_.error_window = error_tracker_.max_abs_error();
+    telemetry_.error_window = error_window;
     return 0;
   }
 
@@ -76,7 +79,9 @@ std::size_t MpcController::decide(const sim::AbrState& state,
                    state.prediction_kbps.begin() +
                        static_cast<std::ptrdiff_t>(horizon));
   if (config_.robust) {
-    for (double& c : forecast_) c = error_tracker_.lower_bound(c);
+    for (double& c : forecast_) {
+      c = predict::PredictionErrorTracker::lower_bound(c, error_window);
+    }
   }
   last_effective_kbps_ = forecast_.front();
 
@@ -111,7 +116,7 @@ std::size_t MpcController::decide(const sim::AbrState& state,
   telemetry_.warm_start = !problem.warm_hint.empty();
   telemetry_.path = "online";
   telemetry_.effective_forecast_kbps = last_effective_kbps_;
-  telemetry_.error_window = error_tracker_.max_abs_error();
+  telemetry_.error_window = error_window;
   const std::size_t decision = solution.levels.front();
   previous_plan_ = std::move(solution.levels);
   return decision;

@@ -31,6 +31,18 @@ QualityFunction QualityFunction::device_saturating(double knee_kbps,
 
 QualityFunction QualityFunction::piecewise(
     std::vector<std::pair<double, double>> points) {
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    if (points[i].second < points[i - 1].second) {
+      throw std::invalid_argument("piecewise quality: quality decreasing");
+    }
+  }
+  QualityFunction q = measured(std::move(points));
+  q.name_ = "piecewise";
+  return q;
+}
+
+QualityFunction QualityFunction::measured(
+    std::vector<std::pair<double, double>> points) {
   if (points.size() < 2) {
     throw std::invalid_argument("piecewise quality: need >= 2 points");
   }
@@ -38,11 +50,8 @@ QualityFunction QualityFunction::piecewise(
     if (points[i].first <= points[i - 1].first) {
       throw std::invalid_argument("piecewise quality: bitrates not increasing");
     }
-    if (points[i].second < points[i - 1].second) {
-      throw std::invalid_argument("piecewise quality: quality decreasing");
-    }
   }
-  QualityFunction q(Kind::kPiecewise, "piecewise");
+  QualityFunction q(Kind::kPiecewise, "measured");
   q.points_ = std::move(points);
   return q;
 }

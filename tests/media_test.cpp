@@ -143,6 +143,19 @@ TEST(QualityFunction, PiecewiseValidates) {
                std::invalid_argument);
 }
 
+TEST(QualityFunction, MeasuredScoresMayFall) {
+  const auto q = QualityFunction::measured({{100.0, 0.0}, {200.0, 10.0},
+                                            {400.0, 4.0}});
+  EXPECT_EQ(q.name(), "measured");
+  EXPECT_DOUBLE_EQ(q(150.0), 5.0);
+  EXPECT_DOUBLE_EQ(q(300.0), 7.0);   // interpolates down the falling span
+  EXPECT_DOUBLE_EQ(q(1000.0), 4.0);  // clamp above
+  EXPECT_THROW(QualityFunction::measured({{100.0, 0.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(QualityFunction::measured({{200.0, 0.0}, {100.0, 1.0}}),
+               std::invalid_argument);
+}
+
 /// q(.) must be non-decreasing (Section 3.1); parameterized across the
 /// families.
 class QualityMonotonicity
