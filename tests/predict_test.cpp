@@ -144,10 +144,14 @@ TEST(PredictionErrorTracker, MaxOverWindow) {
 TEST(PredictionErrorTracker, LowerBoundFormula) {
   PredictionErrorTracker tracker(5);
   tracker.record(1250.0, 1000.0);  // err = 0.25
-  EXPECT_NEAR(tracker.lower_bound(1000.0), 800.0, 1e-9);
+  EXPECT_NEAR(PredictionErrorTracker::lower_bound(1000.0,
+                                                tracker.max_abs_error()),
+              800.0, 1e-9);
   tracker.reset();
   EXPECT_EQ(tracker.sample_count(), 0u);
-  EXPECT_NEAR(tracker.lower_bound(1000.0), 1000.0, 1e-12);
+  EXPECT_NEAR(PredictionErrorTracker::lower_bound(1000.0,
+                                                tracker.max_abs_error()),
+              1000.0, 1e-12);
 }
 
 TEST(PredictionErrorTracker, IgnoresNonPositiveSamples) {
