@@ -127,9 +127,10 @@ InvariantReport InvariantChecker::buffer_dynamics(
       buffer_s += duration;
     }
 
-    // Startup (kFirstChunk): the first delivered chunk starts playback at
-    // its completion time.
-    if (!playing && !r.skipped) {
+    // Startup: the first delivered chunk that brings the buffer to the
+    // threshold (0 for kFirstChunk) starts playback at its completion time.
+    if (!playing && !r.skipped &&
+        buffer_s >= options_.startup_buffer_threshold_s) {
       playing = true;
       startup_s = r.start_s + r.download_s - join_time_s;
       started = true;
@@ -283,6 +284,10 @@ InvariantReport InvariantChecker::check_shared_link(
   session_options.include_startup_in_qoe =
       config.session.include_startup_in_qoe;
   session_options.check_time_continuity = false;
+  session_options.startup_buffer_threshold_s =
+      config.session.startup_policy == sim::StartupPolicy::kBufferThreshold
+          ? config.session.startup_buffer_threshold_s
+          : 0.0;
   const InvariantChecker player_checker(session_options);
   for (std::size_t i = 0; i < result.players.size(); ++i) {
     const InvariantReport player = player_checker.session(

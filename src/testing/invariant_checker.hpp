@@ -19,6 +19,11 @@ struct InvariantOptions {
   /// Mirrors SessionConfig::include_startup_in_qoe for the Eq. (5) check.
   bool include_startup_in_qoe = true;
 
+  /// Playback starts when a landed chunk brings the buffer to at least this
+  /// level, before the Eq. (4) clamp (StartupPolicy::kBufferThreshold).
+  /// 0 replays kFirstChunk: the first delivered chunk starts playback.
+  double startup_buffer_threshold_s = 0.0;
+
   /// When false, any skipped/partial/degraded/aborted chunk is itself a
   /// violation (the fault-free property_test profile). When true the replay
   /// models the failure paths: a skipped chunk appends nothing and charges
@@ -50,7 +55,8 @@ struct InvariantReport {
 /// fuzz harness, so the invariants live in exactly one place.
 ///
 /// Supports StartupPolicy::kFirstChunk sessions (playback begins when the
-/// first non-skipped chunk lands) — the policy every current caller uses.
+/// first non-skipped chunk lands) and, through
+/// InvariantOptions::startup_buffer_threshold_s, kBufferThreshold sessions.
 ///
 /// Invariants checked:
 ///  - Eq. (1)-(3): buffer_before/buffer_after/rebuffer_s of every chunk
@@ -58,8 +64,8 @@ struct InvariantReport {
 ///    skip / partial-prefix failure paths);
 ///  - Eq. (4): wait_s equals the excess over capacity, and the buffer never
 ///    leaves [0, capacity];
-///  - startup: startup_delay_s is the completion time of the first played
-///    chunk;
+///  - startup: startup_delay_s is the completion time of the first chunk
+///    that brings the buffer to the startup threshold;
 ///  - Eq. (5): result.qoe equals QoeModel::session_qoe over the per-chunk
 ///    bitrate/rebuffer vectors (QoE attribution conservation);
 ///  - aggregates: every derived counter/average in SessionResult matches a
@@ -88,8 +94,9 @@ class InvariantChecker {
 
   /// A shared-link simulation, checked from its result alone:
   ///  - per session: check_all with time continuity off and startup
-  ///    measured from the player's join time; buffer capacity and the
-  ///    startup QoE term come from config.session;
+  ///    measured from the player's join time; buffer capacity, the startup
+  ///    threshold (kBufferThreshold) and the startup QoE term come from
+  ///    config.session;
   ///  - per chunk: it starts on a tick, within one tick of its player's
   ///    join or of the previous chunk's end plus wait, and lasts whole
   ///    ticks;

@@ -5,7 +5,7 @@
 // comparison is bit-exact on the serialized log.
 //
 // The GoldenSharedLink suite pins the shared-link simulator the same way:
-// four fleet configurations, plus the journal and fleet time series of the
+// five fleet configurations, plus the journal and fleet time series of the
 // first one.
 //
 // To regenerate after an *intentional* behaviour change:
@@ -446,6 +446,64 @@ TEST(GoldenSharedLink, RobustMpc64PlayersContendedFccLike) {
   ASSERT_GT(solves, 0u);
   EXPECT_GT(static_cast<double>(nodes) / static_cast<double>(solves), 100.0)
       << "the contended golden no longer exercises the horizon search";
+}
+
+// Buffer-threshold startup on a contended link: playback starts only once
+// 8 s (two chunks) are buffered, so every player's second download runs with
+// playback stopped — the one way a downloading player stays paused across a
+// chained download. RobustMPC, FastMPC and BOLA players alternate.
+TEST(GoldenSharedLink, BufferThresholdMixed24PlayersFccLike) {
+  constexpr std::size_t kPlayers = 24;
+  constexpr double kArrivalWindowFactor = 2.0;
+  constexpr double kFairShareKbps = 1300.0;
+  const auto manifest = media::VideoManifest::cbr(
+      24, 4.0, media::VideoManifest::envivio_default().bitrates_kbps());
+  const auto qoe = abr::testing::balanced_qoe();
+  const double video_s = manifest.duration_s();
+  util::Rng rng(17);
+  const trace::ThroughputTrace raw = trace::FccLikeConfig{}.generate(
+      rng, (kArrivalWindowFactor + 2.0) * video_s, "threshold-fcc-like");
+  const double active = static_cast<double>(kPlayers) / kArrivalWindowFactor;
+  const trace::ThroughputTrace link =
+      raw.scaled(kFairShareKbps * active / raw.mean_kbps());
+
+  sim::MultiPlayerConfig config;
+  config.session.startup_policy = sim::StartupPolicy::kBufferThreshold;
+  config.session.startup_buffer_threshold_s = 8.0;
+  config.startup_stagger_s =
+      kArrivalWindowFactor * video_s / static_cast<double>(kPlayers);
+
+  core::AlgorithmOptions options;
+  options.fastmpc_table = core::default_fastmpc_table(
+      manifest, qoe, config.session.buffer_capacity_s);
+  constexpr core::Algorithm kMix[] = {core::Algorithm::kRobustMpc,
+                                      core::Algorithm::kFastMpc,
+                                      core::Algorithm::kBola};
+  std::vector<core::AlgorithmInstance> instances;
+  std::vector<sim::BitrateController*> controllers;
+  std::vector<predict::ThroughputPredictor*> predictors;
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    instances.push_back(
+        core::make_algorithm(kMix[i % 3], manifest, qoe, options));
+    controllers.push_back(instances.back().controller.get());
+    predictors.push_back(instances.back().predictor.get());
+  }
+  const sim::MultiPlayerResult result = sim::simulate_shared_link(
+      link, manifest, qoe, config,
+      std::span<sim::BitrateController* const>(controllers),
+      std::span<predict::ThroughputPredictor* const>(predictors));
+
+  expect_golden("shared_threshold24_mixed.txt",
+                serialize_chunks("threshold24_mixed", result));
+  expect_shared_link_invariants(result, link, manifest, qoe, config);
+  for (std::size_t i = 0; i < kPlayers; ++i) {
+    // Playback began no earlier than the end of the second download.
+    const sim::ChunkRecord& second = result.players[i].chunks[1];
+    const double join_s = static_cast<double>(i) * config.startup_stagger_s;
+    EXPECT_GE(result.players[i].startup_delay_s,
+              second.start_s + second.download_s - join_s - 1e-9)
+        << "player " << i;
+  }
 }
 
 }  // namespace

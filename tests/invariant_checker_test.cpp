@@ -120,6 +120,21 @@ TEST(InvariantChecker, StrictProfileFlagsFailurePaths) {
   EXPECT_FALSE(fx.checker().check_all(result, fx.model).ok());
 }
 
+TEST(InvariantChecker, BufferThresholdStartupReplays) {
+  Fixture fx;
+  fx.config.startup_policy = sim::StartupPolicy::kBufferThreshold;
+  fx.config.startup_buffer_threshold_s = 8.0;
+  const sim::SessionResult result = fx.run(core::Algorithm::kRateBased);
+
+  // Replayed as kFirstChunk, the paused second download looks like drain.
+  EXPECT_FALSE(fx.checker().check_all(result, fx.model).ok());
+  InvariantOptions options = fx.checker().options();
+  options.startup_buffer_threshold_s = fx.config.startup_buffer_threshold_s;
+  const InvariantReport report =
+      InvariantChecker(options).check_all(result, fx.model);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
 TEST(InvariantChecker, CheckAllConcatenatesViolations) {
   const Fixture fx;
   sim::SessionResult result = fx.run(core::Algorithm::kBola);
