@@ -1,6 +1,7 @@
 // Fleet-level structure-aware fuzzer: decodes bytes into a shared-link
 // experiment (1-64 players, join stagger, time step, a constant, step, or
-// seeded Markov link, and a per-player registry controller), runs it
+// seeded Markov link, a per-player registry controller, and first-chunk or
+// buffer-threshold startup), runs it
 // through sim::simulate_shared_link, and checks the result with
 // testing::InvariantChecker::check_shared_link: Eqs. (1)-(5) per player,
 // capacity conservation and the equal split per tick, and the link-level
@@ -123,6 +124,14 @@ void decode(abr::fuzz::FuzzInput& in, Decoded& out) {
         kAlgorithms[in.uniform_size(0, kAlgorithmChoices - 1)]);
     fastmpc = fastmpc ||
               out.algorithms.back() == abr::core::Algorithm::kFastMpc;
+  }
+  // Drawn after every older field, so an input that ends before this point
+  // decodes as it always did (first-chunk startup).
+  if (in.boolean()) {
+    out.config.session.startup_policy =
+        abr::sim::StartupPolicy::kBufferThreshold;
+    out.config.session.startup_buffer_threshold_s =
+        in.uniform_double(0.0, out.config.session.buffer_capacity_s);
   }
   out.options = abr::core::AlgorithmOptions{};
   out.options.buffer_capacity_s = out.config.session.buffer_capacity_s;

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/buffer_based.hpp"
 #include "core/festive.hpp"
 #include "core/rate_based.hpp"
+#include "obs/journal.hpp"
 #include "predict/predictor.hpp"
 #include "test_helpers.hpp"
 #include "testing/invariant_checker.hpp"
@@ -165,6 +170,61 @@ TEST(SharedLink, InvariantsWithHeterogeneousControllers) {
       ::abr::testing::InvariantChecker(options).check_shared_link(
           result, link, config, qoe);
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// A low-index player that rejoins after a wait downloads alongside a
+// higher-index player that joined earlier, and both finish on one tick: the
+// completions, and so the controller calls and journal records, still run
+// in ascending player order.
+TEST(SharedLink, SameTickCompletionsRunInPlayerOrder) {
+  // 1200 kbps over 1 s ticks. Player 0 (1200 kb chunks) fills its 4 s
+  // buffer by t = 2 and waits until t = 5; player 1 (2000 kb chunks) joins
+  // at t = 4. From t = 5 they split the link and both finish at t = 7.
+  const auto manifest =
+      media::VideoManifest::cbr(4, 4.0, {300.0, 500.0}, "order");
+  const auto qoe = testing::balanced_qoe();
+  const auto link = trace::ThroughputTrace::constant(1200.0, 1000.0);
+  FixedLevelController c0(0);
+  FixedLevelController c1(1);
+  ConstantPredictor p0(600.0);
+  ConstantPredictor p1(600.0);
+  BitrateController* controllers[] = {&c0, &c1};
+  predict::ThroughputPredictor* predictors[] = {&p0, &p1};
+  std::ostringstream journal_out;
+  obs::Journal journal(journal_out);
+  MultiPlayerConfig config;
+  config.time_step_s = 1.0;
+  config.startup_stagger_s = 4.0;
+  config.session.buffer_capacity_s = 4.0;
+  config.journal = &journal;
+  const MultiPlayerResult result = simulate_shared_link(
+      link, manifest, qoe, config, std::span(controllers, 2),
+      std::span(predictors, 2));
+  journal.flush();
+
+  // The setup: player 0 rejoined after player 1 started, yet both chunks
+  // ended on the tick that closes at t = 7.
+  const ChunkRecord& rejoined = result.players[0].chunks[2];
+  const ChunkRecord& joined = result.players[1].chunks[0];
+  ASSERT_GT(result.players[0].chunks[1].wait_s, 0.0);
+  ASSERT_GT(rejoined.start_s, joined.start_s);
+  ASSERT_DOUBLE_EQ(rejoined.start_s + rejoined.download_s, 7.0);
+  ASSERT_DOUBLE_EQ(joined.start_s + joined.download_s, 7.0);
+
+  // Journal chunk records that end at t = 7, in the order they were written.
+  std::vector<int> players_at_tick;
+  std::istringstream lines(journal_out.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"type\":\"chunk\"") == std::string::npos) continue;
+    const auto field = [&line](const std::string& key) {
+      const std::size_t at = line.find("\"" + key + "\":");
+      return std::stod(line.substr(at + key.size() + 3));
+    };
+    if (std::abs(field("t_s") + field("download_s") - 7.0) > 1e-9) continue;
+    const std::size_t session = line.find("\"session\":\"p");
+    players_at_tick.push_back(std::stoi(line.substr(session + 12)));
+  }
+  EXPECT_EQ(players_at_tick, (std::vector<int>{0, 1}));
 }
 
 TEST(SharedLink, StarvedLinkThrowsInsteadOfSpinning) {
