@@ -65,12 +65,21 @@ struct MultiPlayerResult {
 /// competition-dependent throughput samples that make this setting hard
 /// (the "downward spiral" of Huang et al.).
 ///
-/// The simulator holds the per-player hot state (buffer level, playback,
-/// bytes remaining, stall) in parallel contiguous vectors and schedules
-/// joins and buffer-full waits on a binary heap:
+/// The simulator holds per-player state in parallel contiguous vectors,
+/// keeps one slot per in-flight download (buffer level, stall, bytes
+/// remaining, a 1.0/0.0 playing factor), and schedules joins and
+/// buffer-full waits on a binary heap:
 ///
-///  - the per-tick advance is one pass over the *downloading* players'
-///    contiguous state, not a scan of every player ever created;
+///  - the per-tick advance is one branch-free, vectorizable pass over the
+///    slot arrays, not a scan of every player ever created. It is exact:
+///    a playing slot performs the same floating-point operations as a
+///    per-player drain, and a paused slot adds and subtracts +0.0;
+///  - a join appends a slot and a download that leaves the active set
+///    hands its buffer back to the per-player arrays; slots are compacted
+///    only on ticks where someone leaves;
+///  - downloads that finish on the same tick complete in ascending player
+///    order whatever their slot order, so controller calls, journal and
+///    fleet records keep a fixed order;
 ///  - ticks where nobody is downloading cost O(1) (a heap peek), and
 ///    waiting and finished players are never touched.
 ///
