@@ -13,7 +13,10 @@
 // The deterministic metrics are gated hard against --baseline (the outcome
 // of the soak is a pure function of the config); sessions/sec is gated
 // loosely (--min-sessions-frac, default 0.25x baseline) so a noisy CI box
-// does not flake while a real 4x regression still fails.
+// does not flake while a real 4x regression still fails. The checksums hold
+// for the baseline's session count only: with --baseline, --sessions
+// defaults to the baseline's `config.sessions`, and a different explicit
+// count is refused before anything is simulated.
 //
 // Usage:
 //   fleet_bench [--sessions N] [--out FILE] [--baseline FILE]
@@ -48,6 +51,7 @@ using Clock = std::chrono::steady_clock;
 
 struct Options {
   std::size_t sessions = 1000000;
+  bool sessions_given = false;  ///< --sessions was on the command line
   std::string out = "BENCH_fleet.json";
   std::string baseline;
   double min_sessions_frac = 0.25;
@@ -71,6 +75,7 @@ Options parse_options(int argc, char** argv) {
     };
     if (flag == "--sessions") {
       options.sessions = std::stoul(next());
+      options.sessions_given = true;
     } else if (flag == "--out") {
       options.out = next();
     } else if (flag == "--baseline") {
@@ -198,11 +203,49 @@ std::string exact(double value) {
   return buffer;
 }
 
+/// Reads the whole baseline file; false when it cannot be read.
+bool read_baseline(const std::string& path, std::string* text) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  *text = buffer.str();
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options options = parse_options(argc, argv);
+  Options options = parse_options(argc, argv);
   bool failed = false;
+
+  std::string baseline;
+  if (!options.baseline.empty()) {
+    if (!read_baseline(options.baseline, &baseline)) {
+      std::cerr << "fleet_bench: cannot read baseline " << options.baseline
+                << "\n";
+      return 2;
+    }
+    // The outcome checksums are a function of the session count, so the
+    // run must simulate the count the baseline was recorded at.
+    double baseline_sessions = 0.0;
+    if (!abr::bench::extract_number(baseline, "sessions",
+                                    &baseline_sessions) ||
+        !(baseline_sessions >= 1.0)) {
+      std::cerr << "fleet_bench: baseline missing config.sessions\n";
+      return 2;
+    }
+    const auto recorded = static_cast<std::size_t>(baseline_sessions);
+    if (!options.sessions_given) {
+      options.sessions = recorded;
+    } else if (options.sessions != recorded) {
+      std::cerr << "fleet_bench: --sessions " << options.sessions
+                << " differs from the baseline's " << recorded
+                << " sessions; its checksums hold only for " << recorded
+                << "\n";
+      return 2;
+    }
+  }
 
   abr::obs::MetricsRegistry& registry = abr::obs::MetricsRegistry::global();
   registry.set_enabled(true);
@@ -245,16 +288,6 @@ int main(int argc, char** argv) {
   std::cout << json.str();
 
   if (!options.baseline.empty()) {
-    std::ifstream in(options.baseline);
-    if (!in) {
-      std::cerr << "fleet_bench: cannot read baseline " << options.baseline
-                << "\n";
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string baseline = buffer.str();
-
     // Deterministic outcome metrics: hard gate (pure function of config).
     const abr::bench::GatedMetric metrics[] = {
         {"total_chunks", static_cast<double>(soak.total_chunks), 0.0},

@@ -166,12 +166,11 @@ std::size_t ChunkServer::drain(double deadline_s) {
 
 void ChunkServer::reset_trace_clock() { gate_.reset_epoch(); }
 
-std::shared_ptr<const std::string> ChunkServer::fill_buffer(
-    char fill, std::size_t size) const {
+std::shared_ptr<const std::string> ChunkServer::fill_block(char fill) const {
   const util::MutexLock lock(fill_mutex_);
-  std::shared_ptr<const std::string>& slot = fill_buffers_[fill - 'A'];
-  if (slot == nullptr || slot->size() < size) {
-    slot = std::make_shared<const std::string>(size, fill);
+  std::shared_ptr<const std::string>& slot = fill_blocks_[fill - 'A'];
+  if (slot == nullptr) {
+    slot = std::make_shared<const std::string>(kFillBlockBytes, fill);
   }
   return slot;
 }
@@ -239,10 +238,10 @@ RoutedResponse ChunkServer::route(const HttpRequest& request) const {
     response.headers.set("Content-Type", "video/iso.segment");
     response.headers.set("Accept-Ranges", "bytes");
     // Deterministic filler payload; content is irrelevant to the transport.
-    // The body is a slice of a shared per-character buffer — response
-    // delivery never copies chunk bytes.
+    // The body repeats a shared per-character block — response delivery
+    // never copies chunk bytes.
     const char fill = static_cast<char>('A' + (number + level) % 26);
-    response.body_shared = fill_buffer(fill, bytes);
+    response.body_shared = fill_block(fill);
     response.body_offset = 0;
     response.body_length = bytes;
     if (const std::string* range_header = request.headers.find("Range")) {

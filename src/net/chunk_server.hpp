@@ -52,25 +52,25 @@ struct ChunkServerOptions {
 };
 
 /// A routed response before its head is serialized: status/reason/headers
-/// plus a body that is either an owned string or a slice of a shared
-/// immutable buffer (segment payloads — one fill buffer can back any number
-/// of concurrent responses, so delivery never copies chunk bodies).
+/// plus a body that is either an owned string or cut from a shared
+/// immutable block, as in EpollServer::Response (segment payloads — one
+/// fill block can back any number of concurrent responses, so delivery
+/// never copies chunk bodies).
 struct RoutedResponse {
   int status = 200;
   std::string reason = "OK";
   HttpHeaders headers;
   std::string body_inline;
+  /// When set, the body is `body_length` bytes of this block repeated end
+  /// to end, starting at `body_offset`.
   std::shared_ptr<const std::string> body_shared;
   std::size_t body_offset = 0;
-  std::size_t body_length = 0;  ///< length of the shared slice
-  bool telemetry = false;       ///< /metrics or /statusz
+  std::size_t body_length = 0;
+  bool telemetry = false;  ///< /metrics or /statusz
 
-  std::string_view body() const {
-    return body_shared != nullptr
-               ? std::string_view(*body_shared).substr(body_offset, body_length)
-               : std::string_view(body_inline);
+  std::size_t body_size() const {
+    return body_shared != nullptr ? body_length : body_inline.size();
   }
-  std::size_t body_size() const { return body().size(); }
 };
 
 /// A synthetic DASH origin: serves the MPD and fixed-size segment payloads
@@ -138,11 +138,15 @@ class ChunkServer : private EpollServer::Handler {
                         EpollServer::Response::Kind kind, double wall_us,
                         EpollServer::Outcome outcome) override;
 
-  /// Shared fill buffer of at least `size` bytes of `fill` (segment bodies
-  /// are single-character runs, so one buffer per fill character serves
-  /// every request size as a prefix slice).
-  std::shared_ptr<const std::string> fill_buffer(char fill,
-                                                 std::size_t size) const;
+  /// Shared block of kFillBlockBytes of `fill`. Segment bodies are
+  /// single-character runs, so one block per fill character, repeated,
+  /// serves every segment and range of any size.
+  std::shared_ptr<const std::string> fill_block(char fill) const;
+
+  /// Fill block size: four shaper quanta. 26 blocks stay resident (1.7 MB)
+  /// however large the ladder's segments are, and a 1.5 MB segment is 23
+  /// iovecs of one sendmsg.
+  static constexpr std::size_t kFillBlockBytes = 64 * 1024;
 
   /// Reconciles registry state with transport truth (shed connections whose
   /// 503 was never planned, the live and peak counts) so drain()/stop()
@@ -180,8 +184,8 @@ class ChunkServer : private EpollServer::Handler {
   obs::Counter* telemetry_deadline_counter_;
 
   mutable util::Mutex fill_mutex_;
-  /// One lazily grown buffer per fill character ('A'..'Z').
-  mutable std::shared_ptr<const std::string> fill_buffers_[26]
+  /// One lazily built block per fill character ('A'..'Z').
+  mutable std::shared_ptr<const std::string> fill_blocks_[26]
       ABR_GUARDED_BY(fill_mutex_);
 
   ShaperGate gate_;

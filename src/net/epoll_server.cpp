@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <queue>
+#include <string_view>
 #include <system_error>
 #include <unordered_map>
 #include <utility>
@@ -38,6 +39,44 @@ std::size_t content_length_of(const HttpHeaders& headers) {
     throw std::invalid_argument("HTTP: bad Content-Length");
   }
   return length;
+}
+
+/// Most body iovecs in one sendmsg. With ChunkServer's 64 KB fill blocks
+/// that is 4 MB, more than a socket buffer takes in one call.
+constexpr int kMaxBodyIov = 64;
+
+/// Points `iov` at body bytes [from, from + length) of `response`, using at
+/// most `max_iov` entries, and returns the entries used; bytes past them
+/// are left for a later call. A shared body repeats its block, so each
+/// entry covers at most one copy of it.
+int body_iovecs(const EpollServer::Response& response, std::size_t from,
+                std::size_t length, iovec* iov, int max_iov) {
+  if (response.body_shared == nullptr) {
+    if (length == 0) return 0;
+    iov[0].iov_base = const_cast<char*>(response.body_inline.data() + from);
+    iov[0].iov_len = length;
+    return 1;
+  }
+  const std::string& block = *response.body_shared;
+  std::size_t at = (response.body_offset + from) % block.size();
+  int count = 0;
+  for (; length > 0 && count < max_iov; ++count) {
+    const std::size_t take = std::min(length, block.size() - at);
+    iov[count].iov_base = const_cast<char*>(block.data() + at);
+    iov[count].iov_len = take;
+    length -= take;
+    at = 0;
+  }
+  return count;
+}
+
+/// One gathering send; MSG_NOSIGNAL turns a vanished peer into EPIPE, not
+/// SIGPIPE.
+ssize_t send_iov(int fd, iovec* iov, int iovcnt) {
+  msghdr message{};
+  message.msg_iov = iov;
+  message.msg_iovlen = static_cast<std::size_t>(iovcnt);
+  return ::sendmsg(fd, &message, MSG_NOSIGNAL);
 }
 
 std::string_view first_line_of(std::string_view block) {
@@ -158,10 +197,10 @@ class EpollServer::Shard {
       kReadBody,      ///< consuming Content-Length bytes
       kDelay,         ///< first-byte fault delay before the head
       kAwaitLink,     ///< queued on the shaper gate
-      kQuantumWait,   ///< holding the link, next quantum not yet released
+      kQuantumWait,   ///< holding the link, no quantum released yet
       kStallSleep,    ///< mid-body fault stall (link released)
       kWriteHead,     ///< flushing the pre-serialized head
-      kWriteBody,     ///< flushing body bytes (shaped: current quantum)
+      kWriteBody,     ///< flushing body bytes (shaped: current claim)
       kClosed,        ///< out of the table, awaiting destruction
     } state = State::kReadHeaders;
 
@@ -173,14 +212,14 @@ class EpollServer::Shard {
     bool responding = false;
     Response response;
     Response::Kind response_kind = Response::Kind::kRequest;
-    std::string_view body;   ///< response body view (post-truncation)
+    std::size_t body_size = 0;  ///< body bytes to send (post-truncation)
     std::size_t head_sent = 0;
     std::size_t body_sent = 0;
     std::size_t stall_at = std::string_view::npos;
     bool stalled = false;    ///< the one mid-body stall already happened
     bool shutdown_after = false;  ///< truncating fault: hard cut at the end
     bool holds_link = false;
-    std::size_t quantum_left = 0;
+    std::size_t claim_left = 0;  ///< claimed from the gate, not yet sent
 
     bool want_out = false;   ///< EPOLLOUT currently requested
     bool read_ready = false; ///< input arrived while mid-response
@@ -626,24 +665,23 @@ class EpollServer::Shard {
       return;
     }
 
-    connection.body = connection.response.body();
+    connection.body_size = connection.response.body_size();
     if (connection.response.truncate_after_fraction >= 0.0) {
-      const auto cut = static_cast<std::size_t>(
-          static_cast<double>(connection.body.size()) *
+      connection.body_size = static_cast<std::size_t>(
+          static_cast<double>(connection.body_size) *
           connection.response.truncate_after_fraction);
-      connection.body = connection.body.substr(0, cut);
       connection.shutdown_after = true;
     }
     connection.stall_at = std::string_view::npos;
     if (connection.response.stall_after_fraction >= 0.0) {
       connection.stall_at = static_cast<std::size_t>(
-          static_cast<double>(connection.body.size()) *
+          static_cast<double>(connection.body_size) *
           connection.response.stall_after_fraction);
     }
     connection.head_sent = 0;
     connection.body_sent = 0;
     connection.stalled = false;
-    connection.quantum_left = 0;
+    connection.claim_left = 0;
     connection.deadline_window_ms =
         connection.response.write_deadline_ms > 0
             ? connection.response.write_deadline_ms
@@ -665,7 +703,7 @@ class EpollServer::Shard {
   void start_writing(Connection& connection) {
     connection.state = Connection::State::kWriteHead;
     arm_deadline(connection);
-    if (connection.response.shaped && !connection.body.empty()) {
+    if (connection.response.shaped && connection.body_size > 0) {
       pump_head_then_shaped(connection);
     } else {
       pump_plain(connection);
@@ -674,12 +712,13 @@ class EpollServer::Shard {
 
   // --- write path ----------------------------------------------------------
 
-  /// Writes head + body with writev (zero-copy: the body iovec points into
-  /// the shared buffer). Used for unshaped responses and empty bodies.
+  /// Writes head + body with one gathering send per call (zero-copy: the
+  /// body iovecs point into the shared block). Used for unshaped responses
+  /// and empty bodies.
   void pump_plain(Connection& connection) {
     const std::string& head = connection.response.head;
     while (true) {
-      iovec iov[2];
+      iovec iov[1 + kMaxBodyIov];
       int iovcnt = 0;
       if (connection.head_sent < head.size()) {
         iov[iovcnt].iov_base =
@@ -687,19 +726,14 @@ class EpollServer::Shard {
         iov[iovcnt].iov_len = head.size() - connection.head_sent;
         ++iovcnt;
       }
-      std::size_t body_span = 0;
-      if (connection.body_sent < connection.body.size()) {
-        body_span = connection.body.size() - connection.body_sent;
-        iov[iovcnt].iov_base = const_cast<char*>(connection.body.data() +
-                                                 connection.body_sent);
-        iov[iovcnt].iov_len = body_span;
-        ++iovcnt;
-      }
+      iovcnt += body_iovecs(connection.response, connection.body_sent,
+                            connection.body_size - connection.body_sent,
+                            iov + iovcnt, kMaxBodyIov);
       if (iovcnt == 0) {
         finish_response(connection);
         return;
       }
-      const ssize_t n = ::writev(connection.stream.fd(), iov, iovcnt);
+      const ssize_t n = send_iov(connection.stream.fd(), iov, iovcnt);
       if (n > 0) {
         advance_sent(connection, static_cast<std::size_t>(n));
         touch_deadline(connection);
@@ -766,13 +800,14 @@ class EpollServer::Shard {
     }
   }
 
-  /// Paced body writes while holding the link: each quantum is released by
-  /// the gate's trace allowance; release instants in the future become
-  /// resume timers instead of sleeps.
+  /// Paced body writes while holding the link: each send carries every
+  /// quantum the gate's trace allowance has released by now; when none is
+  /// released yet, the next release instant becomes a resume timer instead
+  /// of a sleep.
   void pump_shaped(Connection& connection) {
     ShaperGate* gate = server_->gate_;
     while (true) {
-      if (connection.body_sent >= connection.body.size()) {
+      if (connection.body_sent >= connection.body_size) {
         finish_response(connection);
         return;
       }
@@ -782,7 +817,7 @@ class EpollServer::Shard {
         // stalled origin response does not also stall every other body.
         connection.stalled = true;
         connection.holds_link = false;
-        connection.quantum_left = 0;
+        connection.claim_left = 0;
         server_->forward_grant(gate->release());
         connection.state = Connection::State::kStallSleep;
         schedule_resume(connection,
@@ -792,32 +827,31 @@ class EpollServer::Shard {
                                     connection.response.stall_wall_s)));
         return;
       }
-      if (connection.quantum_left == 0) {
-        // The stall point is a quantum boundary: the body is paced as two
-        // separate sends, before and after the stall.
-        std::size_t limit = connection.body.size();
+      if (connection.claim_left == 0) {
+        // The stall point is a claim limit: the body is paced as two
+        // separate runs of quanta, before and after the stall.
+        std::size_t limit = connection.body_size;
         if (!connection.stalled &&
             connection.stall_at != std::string_view::npos) {
           limit = std::min(limit, connection.stall_at);
         }
-        const std::size_t quantum = std::min(ShaperGate::kQuantumBytes,
-                                             limit - connection.body_sent);
-        const Clock::time_point release = gate->quantum_release(quantum);
-        if (release > Clock::now()) {
+        const ShaperGate::Claim claim =
+            gate->claim(limit - connection.body_sent, Clock::now());
+        if (claim.bytes == 0) {
           connection.state = Connection::State::kQuantumWait;
-          schedule_resume(connection, release);
+          schedule_resume(connection, claim.next_release);
           return;
         }
-        gate->note_sent(quantum);
-        connection.quantum_left = quantum;
+        connection.claim_left = claim.bytes;
       }
-      const ssize_t n =
-          ::send(connection.stream.fd(),
-                 connection.body.data() + connection.body_sent,
-                 connection.quantum_left, MSG_NOSIGNAL);
+      iovec iov[kMaxBodyIov];
+      const int iovcnt =
+          body_iovecs(connection.response, connection.body_sent,
+                      connection.claim_left, iov, kMaxBodyIov);
+      const ssize_t n = send_iov(connection.stream.fd(), iov, iovcnt);
       if (n > 0) {
         connection.body_sent += static_cast<std::size_t>(n);
-        connection.quantum_left -= static_cast<std::size_t>(n);
+        connection.claim_left -= static_cast<std::size_t>(n);
         touch_deadline(connection);
         continue;
       }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -23,7 +22,7 @@ class ShaperGate;
 /// incremental state machine with the same limits and error behaviour as
 /// the blocking HttpConnection (8 KB request line, 64 KB header block,
 /// slowloris idle deadlines), and response bodies are written zero-copy
-/// from shared immutable buffers via writev.
+/// from shared immutable blocks via sendmsg.
 ///
 /// The server is protocol-agnostic above the request boundary: a Handler
 /// turns each parsed request into a fully planned Response (pre-serialized
@@ -34,8 +33,8 @@ class EpollServer final {
  public:
   /// A fully planned response. The head is pre-serialized (status line,
   /// headers, Content-Length, blank line); the body is either an owned
-  /// string or a shared immutable buffer slice (zero-copy: one buffer can
-  /// back any number of in-flight responses).
+  /// string or cut from a shared immutable block (zero-copy: one block can
+  /// back any number of in-flight responses of any length).
   struct Response {
     /// Which handler planned this response — on_response_done uses it to
     /// decide what to account (e.g. request latency only for kRequest).
@@ -43,9 +42,12 @@ class EpollServer final {
 
     std::string head;
     std::string body_inline;
+    /// When set (non-empty), the body is `body_length` bytes of this block
+    /// repeated end to end, starting at `body_offset` of the first copy;
+    /// body_inline is then unused.
     std::shared_ptr<const std::string> body_shared;
     std::size_t body_offset = 0;
-    std::size_t body_length = 0;  ///< length of the shared slice
+    std::size_t body_length = 0;
 
     /// Pace the body through the shaper gate (the emulated access link).
     bool shaped = false;
@@ -71,11 +73,8 @@ class EpollServer final {
     /// transport-wide idle deadline.
     int write_deadline_ms = 0;
 
-    std::string_view body() const {
-      return body_shared != nullptr
-                 ? std::string_view(*body_shared)
-                       .substr(body_offset, body_length)
-                 : std::string_view(body_inline);
+    std::size_t body_size() const {
+      return body_shared != nullptr ? body_length : body_inline.size();
     }
   };
 

@@ -178,19 +178,18 @@ std::optional<std::string> HttpConnection::read_header_block() {
 
 std::string HttpConnection::read_exact(std::size_t size,
                                        const ProgressCallback& progress) {
-  std::string body;
-  body.reserve(size);
-  const std::size_t from_buffer = std::min(size, buffer_.size());
-  body.append(buffer_, 0, from_buffer);
-  buffer_.erase(0, from_buffer);
-  if (progress && from_buffer > 0) progress(body.size(), body.size() == size);
-  while (body.size() < size) {
-    char chunk[16384];
-    const std::size_t want = std::min(sizeof(chunk), size - body.size());
-    const std::size_t n = stream().read(chunk, want);
+  // The body is sized once and every read lands in place: no bounce buffer,
+  // and each read may take all the socket holds, up to the body's end.
+  std::string body(size, '\0');
+  std::size_t got = std::min(size, buffer_.size());
+  buffer_.copy(body.data(), got);
+  buffer_.erase(0, got);
+  if (progress && got > 0) progress(got, got == size);
+  while (got < size) {
+    const std::size_t n = stream().read(body.data() + got, size - got);
     if (n == 0) throw std::invalid_argument("HTTP: connection closed mid-body");
-    body.append(chunk, n);
-    if (progress) progress(body.size(), body.size() == size);
+    got += n;
+    if (progress) progress(got, got == size);
   }
   return body;
 }

@@ -51,22 +51,35 @@ std::uint64_t ShaperGate::cancel(std::uint64_t ticket) {
   return 0;
 }
 
-Clock::time_point ShaperGate::quantum_release(std::size_t bytes) {
-  const util::MutexLock lock(mutex_);
-  // The trace allows this quantum once its cumulative capacity since the
-  // epoch reaches sent + quantum; the trace's inverse integral gives that
-  // session instant exactly, and the speedup maps it onto wall time.
-  const double quantum_kilobits = static_cast<double>(bytes) * 8.0 / 1000.0;
+Clock::time_point ShaperGate::release_at(double sent_kilobits) const {
+  // The trace's inverse integral gives the session instant at which its
+  // cumulative capacity since the epoch reaches `sent_kilobits`, and the
+  // speedup maps it onto wall time.
   const double release_session_s =
-      trace_->transfer_end_time(sent_kilobits_ + quantum_kilobits, 0.0);
+      trace_->transfer_end_time(sent_kilobits, 0.0);
   return epoch_ + std::chrono::duration_cast<Clock::duration>(
                       std::chrono::duration<double>(release_session_s /
                                                     speedup_));
 }
 
-void ShaperGate::note_sent(std::size_t bytes) {
+ShaperGate::Claim ShaperGate::claim(std::size_t max_bytes,
+                                    Clock::time_point now) {
   const util::MutexLock lock(mutex_);
-  sent_kilobits_ += static_cast<double>(bytes) * 8.0 / 1000.0;
+  Claim claim;
+  while (claim.bytes < max_bytes) {
+    const std::size_t quantum =
+        std::min(kQuantumBytes, max_bytes - claim.bytes);
+    const double after_kilobits =
+        sent_kilobits_ + static_cast<double>(quantum) * 8.0 / 1000.0;
+    const Clock::time_point release = release_at(after_kilobits);
+    if (release > now) {
+      if (claim.bytes == 0) claim.next_release = release;
+      break;
+    }
+    sent_kilobits_ = after_kilobits;
+    claim.bytes += quantum;
+  }
+  return claim;
 }
 
 }  // namespace abr::net

@@ -17,11 +17,12 @@ namespace abr::net {
 /// This replaces the `tc` token-bucket shaping of the paper's testbed
 /// (Section 7.2) with an application-level equivalent. The emulated access
 /// link is one FIFO link: a connection acquires it (queued tickets are
-/// served in order), sends its body one quantum at a time, and releases it.
-/// Before each quantum the holder asks quantum_release() for the instant
-/// the trace's cumulative allowance covers it; the reactor schedules a
-/// timer for that instant instead of sleeping, so no thread ever blocks on
-/// the link.
+/// served in order), sends its body in whole quanta, and releases it. Each
+/// quantum has a release instant, when the trace's cumulative allowance
+/// covers it. Before each send the holder claim()s every quantum already
+/// released and sends them together; when none is released yet, the
+/// reactor schedules a timer for the next release instant instead of
+/// sleeping, so no thread ever blocks on the link.
 ///
 /// `speedup` compresses session time: at speedup 20 a 260 s video session
 /// runs in 13 s of wall time, with trace rates scaled up correspondingly.
@@ -50,13 +51,23 @@ class ShaperGate {
   /// caller must forward the grant to the ticket's owner.
   std::uint64_t release() ABR_EXCLUDES(mutex_);
 
-  /// Wall-clock instant at which the current holder may write its next
-  /// `bytes`-sized quantum, per the trace's cumulative allowance.
-  std::chrono::steady_clock::time_point quantum_release(std::size_t bytes)
-      ABR_EXCLUDES(mutex_);
+  /// What one claim() charged.
+  struct Claim {
+    /// Bytes charged, all to be sent now; 0 when nothing was released.
+    std::size_t bytes = 0;
+    /// When `bytes` is 0: the release instant of the next quantum.
+    std::chrono::steady_clock::time_point next_release{};
+  };
 
-  /// Charges `bytes` against the allowance (call once per written quantum).
-  void note_sent(std::size_t bytes) ABR_EXCLUDES(mutex_);
+  /// Charges, in one critical section, every consecutive quantum of the
+  /// next `max_bytes` whose release instant is at or before `now`. Quanta
+  /// are kQuantumBytes long except the last, which ends at `max_bytes`, so
+  /// a claim never crosses `max_bytes`. A quantum is released once the
+  /// trace's cumulative allowance since the epoch covers all bytes charged
+  /// before it plus itself: at epoch + transfer_end_time(sent + quantum) /
+  /// speedup.
+  Claim claim(std::size_t max_bytes,
+              std::chrono::steady_clock::time_point now) ABR_EXCLUDES(mutex_);
 
   /// Pacing quantum, bytes. Smaller = smoother shaping, more syscalls.
   static constexpr std::size_t kQuantumBytes = 16 * 1024;
@@ -64,6 +75,11 @@ class ShaperGate {
  private:
   /// Pops the next waiter into holder_ (0 when none) and returns it.
   std::uint64_t grant_next_locked() ABR_REQUIRES(mutex_);
+
+  /// Release instant of a quantum that brings the bytes charged so far to
+  /// `sent_kilobits`.
+  std::chrono::steady_clock::time_point release_at(double sent_kilobits) const
+      ABR_REQUIRES(mutex_);
 
   const trace::ThroughputTrace* trace_;
   double speedup_;

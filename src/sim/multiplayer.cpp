@@ -91,6 +91,7 @@ MultiPlayerResult simulate_shared_link(
     throw std::invalid_argument(
         "simulate_shared_link: fixed-delay startup is not supported");
   }
+  validate(config.session);
   if (config.time_step_s <= 0.0) {
     throw std::invalid_argument("simulate_shared_link: bad time step");
   }

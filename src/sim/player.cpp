@@ -15,18 +15,7 @@ namespace abr::sim {
 PlayerSession::PlayerSession(const media::VideoManifest& manifest,
                              const qoe::QoeModel& qoe, SessionConfig config)
     : manifest_(&manifest), qoe_(&qoe), config_(config) {
-  if (config_.buffer_capacity_s <= 0.0) {
-    throw std::invalid_argument("SessionConfig: non-positive buffer capacity");
-  }
-  if (config_.startup_policy == StartupPolicy::kFixedDelay &&
-      config_.fixed_startup_delay_s < 0.0) {
-    throw std::invalid_argument("SessionConfig: negative fixed startup delay");
-  }
-  if (config_.startup_policy == StartupPolicy::kBufferThreshold &&
-      config_.startup_buffer_threshold_s > config_.buffer_capacity_s) {
-    throw std::invalid_argument(
-        "SessionConfig: startup threshold above buffer capacity");
-  }
+  validate(config_);
 }
 
 SessionResult PlayerSession::run(ChunkSource& source,

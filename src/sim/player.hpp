@@ -1,5 +1,6 @@
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 #include "media/manifest.hpp"
@@ -80,6 +81,26 @@ struct SessionConfig {
   /// degradation. Inert unless enabled AND the source supports_range().
   AbortPolicyConfig abort_policy;
 };
+
+/// Throws std::invalid_argument when `config` cannot describe a session: a
+/// non-positive buffer capacity, a negative fixed startup delay, or a
+/// startup threshold above the buffer capacity (playback would never
+/// start). PlayerSession and simulate_shared_link both check it. Inline, so
+/// the shared-link engine does not link the single-player session code.
+inline void validate(const SessionConfig& config) {
+  if (config.buffer_capacity_s <= 0.0) {
+    throw std::invalid_argument("SessionConfig: non-positive buffer capacity");
+  }
+  if (config.startup_policy == StartupPolicy::kFixedDelay &&
+      config.fixed_startup_delay_s < 0.0) {
+    throw std::invalid_argument("SessionConfig: negative fixed startup delay");
+  }
+  if (config.startup_policy == StartupPolicy::kBufferThreshold &&
+      config.startup_buffer_threshold_s > config.buffer_capacity_s) {
+    throw std::invalid_argument(
+        "SessionConfig: startup threshold above buffer capacity");
+  }
+}
 
 /// Per-chunk log entry, mirroring the logging our dash.js modification
 /// records (Section 6): player state, decisions, and outcomes.

@@ -64,6 +64,43 @@ TEST(SharedLink, ValidatesArguments) {
                std::invalid_argument);
 }
 
+// The shared link checks its SessionConfig with the same validate() as
+// PlayerSession: a startup threshold above the buffer capacity would leave
+// every player waiting for a buffer level it can never reach.
+TEST(SharedLink, RejectsSessionConfigsPlayerSessionRejects) {
+  const auto manifest = testing::small_manifest();
+  const auto qoe = testing::balanced_qoe();
+  const auto link = trace::ThroughputTrace::constant(2000.0, 1000.0);
+  FixedLevelController controller(0);
+  ConstantPredictor predictor(1000.0);
+  BitrateController* controllers[] = {&controller};
+  predict::ThroughputPredictor* predictors[] = {&predictor};
+  MultiPlayerConfig unreachable;
+  unreachable.session.startup_policy = StartupPolicy::kBufferThreshold;
+  unreachable.session.buffer_capacity_s = 30.0;
+  unreachable.session.startup_buffer_threshold_s = 40.0;
+  MultiPlayerConfig no_buffer;
+  no_buffer.session.buffer_capacity_s = 0.0;
+  for (const MultiPlayerConfig& config : {unreachable, no_buffer}) {
+    EXPECT_THROW(PlayerSession(manifest, qoe, config.session),
+                 std::invalid_argument);
+    EXPECT_THROW(simulate_shared_link(link, manifest, qoe, config,
+                                      std::span(controllers, 1),
+                                      std::span(predictors, 1)),
+                 std::invalid_argument);
+  }
+  try {
+    (void)simulate_shared_link(link, manifest, qoe, unreachable,
+                               std::span(controllers, 1),
+                               std::span(predictors, 1));
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("threshold above buffer"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(SharedLink, SinglePlayerMatchesPlayerSession) {
   // With one player the shared link degenerates to the single-player model;
   // the time-stepped results must match the exact event simulation within

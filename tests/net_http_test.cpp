@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 namespace abr::net {
 namespace {
@@ -167,6 +171,88 @@ TEST_F(HttpConnectionTest, ProgressCallbackObservesBody) {
   });
   EXPECT_EQ(last_seen, 50000u);
   EXPECT_TRUE(saw_done);
+  server.join();
+}
+
+/// A body whose bytes differ by position, so a byte read into the wrong
+/// place shows.
+std::string patterned_body(std::size_t size) {
+  std::string body(size, '\0');
+  for (std::size_t i = 0; i < size; ++i) {
+    body[i] = static_cast<char>('a' + (i * 7) % 26);
+  }
+  return body;
+}
+
+TEST_F(HttpConnectionTest, BodySplitAcrossHeaderReadAndSmallWritesArrives) {
+  // The first body bytes travel with the head, so the client's header read
+  // buffers them; the rest comes in small, spaced writes that the client
+  // reads straight into the body.
+  const std::string body = patterned_body(20000);
+  std::thread server([this, &body] {
+    TcpStream stream = listener_.accept();
+    HttpConnection connection(&stream);
+    (void)connection.read_request();
+    const std::size_t prefix = 300;
+    stream.write_all("HTTP/1.1 200 OK\r\nContent-Length: " +
+                     std::to_string(body.size()) + "\r\n\r\n" +
+                     body.substr(0, prefix));
+    for (std::size_t at = prefix; at < body.size(); at += 4000) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      stream.write_all(body.substr(at, 4000));
+    }
+  });
+
+  HttpConnection client(TcpStream::connect("127.0.0.1", listener_.port()));
+  HttpRequest request;
+  request.method = "GET";
+  request.target = "/split";
+  client.write_request(request, "localhost");
+  std::vector<std::size_t> seen;
+  std::size_t done_calls = 0;
+  const HttpResponse response =
+      client.read_response([&](std::size_t bytes, bool done) {
+        if (!seen.empty()) {
+          EXPECT_GE(bytes, seen.back());
+        }
+        EXPECT_EQ(done, bytes == body.size());
+        seen.push_back(bytes);
+        if (done) ++done_calls;
+      });
+  server.join();
+  EXPECT_EQ(response.body, body);
+  ASSERT_GE(seen.size(), 2u);  // at least the buffered prefix and one read
+  EXPECT_GT(seen.front(), 0u);
+  EXPECT_EQ(seen.back(), body.size());
+  EXPECT_EQ(done_calls, 1u);
+}
+
+TEST_F(HttpConnectionTest, PeerClosingMidBodyThrowsClosedMidBody) {
+  std::thread server([this] {
+    TcpStream stream = listener_.accept();
+    HttpConnection connection(&stream);
+    (void)connection.read_request();
+    stream.write_all("HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n" +
+                     std::string(1000, 'z'));
+    stream.shutdown_write();
+  });
+
+  HttpConnection client(TcpStream::connect("127.0.0.1", listener_.port()));
+  HttpRequest request;
+  request.method = "GET";
+  request.target = "/cut";
+  client.write_request(request, "localhost");
+  std::size_t last_seen = 0;
+  try {
+    (void)client.read_response(
+        [&](std::size_t bytes, bool) { last_seen = bytes; });
+    ADD_FAILURE() << "a truncated body was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("closed mid-body"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(last_seen, 1000u);
   server.join();
 }
 

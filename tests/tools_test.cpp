@@ -1,6 +1,7 @@
-// End-to-end tests of the command-line tools (tools/abrsim, tools/tracegen):
-// invoke the real binaries and check exit codes and output. Binary paths are
-// injected by CMake via ABRSIM_PATH / TRACEGEN_PATH.
+// End-to-end tests of the command-line tools (tools/abrsim, tools/tracegen,
+// bench/fleet_bench): invoke the real binaries and check exit codes and
+// output. Binary paths are injected by CMake via ABRSIM_PATH / TRACEGEN_PATH
+// / FLEET_BENCH_PATH.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -278,6 +279,55 @@ TEST(ToolsRoundTrip, TracegenOutputFeedsAbrsim) {
       (dir / "markov-0.csv").string());
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_NE(result.output.find("algorithm: RobustMPC"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// A hand-written fleet_bench baseline recorded at `sessions` sessions. It
+/// holds no outcome checksums, so a run against it simulates a tiny fleet
+/// and then fails the checksum gate.
+std::filesystem::path write_tiny_fleet_baseline(
+    const std::filesystem::path& dir, int sessions) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto path = dir / "baseline.json";
+  std::ofstream out(path);
+  out << "{\n  \"config\": {\"sessions\": " << sessions
+      << ", \"chunks\": 32},\n  \"soak\": {\"sessions_per_sec\": 1}\n}\n";
+  return path;
+}
+
+TEST(ToolsFleetBench, RefusesSessionCountThatDiffersFromBaseline) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "abr_fleet_bench_refuse";
+  const auto baseline = write_tiny_fleet_baseline(dir, 7);
+  const auto out = dir / "BENCH_fleet.json";
+  const auto result = run_command(std::string(FLEET_BENCH_PATH) +
+                                  " --sessions 5 --baseline " +
+                                  baseline.string() + " --out " + out.string());
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("--sessions 5 differs from the baseline's 7"),
+            std::string::npos)
+      << result.output;
+  // Refused before simulating: nothing was written.
+  EXPECT_FALSE(std::filesystem::exists(out));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ToolsFleetBench, BaselineSuppliesTheSessionCount) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "abr_fleet_bench_count";
+  const auto baseline = write_tiny_fleet_baseline(dir, 7);
+  const auto out = dir / "BENCH_fleet.json";
+  const auto result = run_command(std::string(FLEET_BENCH_PATH) +
+                                  " --baseline " + baseline.string() +
+                                  " --out " + out.string());
+  // Seven sessions ran; the checksum-free baseline then fails the gate.
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(read_file(out).find("\"sessions\": 7,"), std::string::npos)
+      << read_file(out);
+  EXPECT_NE(result.output.find("baseline missing total_chunks"),
+            std::string::npos)
+      << result.output;
   std::filesystem::remove_all(dir);
 }
 
